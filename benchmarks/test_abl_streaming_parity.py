@@ -4,14 +4,15 @@ Two claims carry the streaming subsystem.  **Parity**: every window the
 engine closes must produce a report bit-identical to the batch path
 (`clean_observations` + `classify_series`) over the same observations —
 on clean streams and on streams degraded by the fault injectors.
-**Cost**: maintaining the spectral state incrementally (sliding DFT at
-the tracked bins) must beat re-running the batch classifier per round,
-since that O(tracked bins) recurrence is the engine's reason to exist.
+**Cost**: streaming ingest beats per-round reclassification.  The engine
+does O(1) work per frozen round (ring, held value, running window sum)
+and classifies only at window closes, so it must clearly undercut
+re-running the batch classifier every round.
 
 The table reports window counts with parity tallies and the per-round
-cost of three strategies: streaming ingestion (ring + sliding DFT +
-closes), a naive full rfft of the trailing window every round, and a
-naive full reclassification every round.
+cost of three strategies: streaming ingestion (ring + running window
+sum + closes), a naive full rfft of the trailing window every round,
+and a naive full reclassification every round.
 """
 
 import time
@@ -177,7 +178,7 @@ def test_abl_streaming_parity(benchmark, record_output, trajectory):
     # Parity is exact, not approximate: every window, clean and faulted.
     assert clean_tally[0] > 0 and clean_tally[1] == clean_tally[0]
     assert faulted_tally[0] > 0 and faulted_tally[1] == faulted_tally[0]
-    # The incremental path must clearly beat per-round reclassification.
+    # Streaming ingest must clearly beat per-round reclassification.
     assert stream_us < reclass_us / 2, (
         f"streaming {stream_us:.1f}us/round vs reclassify "
         f"{reclass_us:.1f}us/round"

@@ -51,7 +51,6 @@ from repro.core.spectral import (
     compute_spectrum,
     compute_spectra,
     diurnal_bin,
-    goertzel,
     harmonic_bins,
 )
 from repro.core.classify import (
@@ -128,7 +127,6 @@ __all__ = [
     "decide_label",
     "diurnal_bin",
     "estimate_series",
-    "goertzel",
     "ewma_lag_hours",
     "fill_gaps",
     "fill_missing",

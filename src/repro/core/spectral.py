@@ -20,7 +20,6 @@ __all__ = [
     "compute_spectrum",
     "diurnal_bin",
     "diurnal_candidates",
-    "goertzel",
     "harmonic_bins",
 ]
 
@@ -116,30 +115,6 @@ def compute_spectra(matrix: np.ndarray, round_s: float) -> Spectrum:
         n_samples=matrix.shape[1],
         round_s=round_s,
     )
-
-
-def goertzel(values: np.ndarray, bins: np.ndarray | int) -> np.ndarray:
-    """Exact DFT coefficients at selected bins only (O(n) per bin).
-
-    Returns the same complex values ``np.fft.rfft`` would produce at those
-    bins, without transforming the rest of the spectrum.  This is the
-    seed/verification primitive for the streaming engine's sliding DFT,
-    which maintains the same coefficients incrementally.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise ValueError("goertzel takes a single series")
-    if np.isnan(values).any():
-        raise ValueError("series contains NaN; clean it first (fill_missing)")
-    bins = np.atleast_1d(np.asarray(bins, dtype=np.int64))
-    n = len(values)
-    n_bins = n // 2 + 1
-    if len(bins) and (bins.min() < 0 or bins.max() >= n_bins):
-        raise ValueError(
-            f"bins must be in [0, {n_bins}) for a {n}-sample series"
-        )
-    angles = -2j * np.pi * np.outer(bins, np.arange(n)) / n
-    return np.exp(angles) @ values
 
 
 def diurnal_bin(n_samples: int, round_s: float) -> int:

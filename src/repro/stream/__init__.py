@@ -1,15 +1,13 @@
 """Streaming diurnal engine: live verdicts from incremental ingestion.
 
 ``engine``
-    :class:`StreamEngine` — watermark-ordered ingestion, per-round
-    sliding-DFT updates, hop-window closes with batch-parity verdicts,
-    label hysteresis, and event emission.
+    :class:`StreamEngine` — watermark-ordered ingestion, a running
+    trailing-window mean for sleep/wake edges, hop-window closes with
+    batch-parity verdicts, label hysteresis, event emission, and an
+    exact provisional spectrum computed when it is read.
 ``window``
     :class:`RoundWindow` — the bounded ring-buffer grid with the batch
     path's duplicate/gap-fill/quality semantics.
-``sliding_dft``
-    :class:`SlidingDFT` — O(tracked bins) per-round spectral updates at
-    the DC, diurnal, and harmonic bins.
 ``events`` / ``sinks``
     Typed events, the synchronous :class:`EventBus`, and pluggable
     sinks (list, counting, callback, filter, CSV).
@@ -67,7 +65,6 @@ from repro.stream.sinks import (
     FilterSink,
     ListSink,
 )
-from repro.stream.sliding_dft import SlidingDFT
 from repro.stream.window import RoundWindow
 
 __all__ = [
@@ -92,7 +89,6 @@ __all__ = [
     "RoundWindow",
     "ShedDegraded",
     "ShedRecord",
-    "SlidingDFT",
     "StreamConfig",
     "StreamEngine",
     "StreamEvent",

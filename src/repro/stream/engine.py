@@ -7,9 +7,10 @@ and maintains, per block:
 * a bounded :class:`~repro.stream.window.RoundWindow` ring with the
   section 2.2 grid/duplicate/fill semantics (memory is O(window), not
   O(campaign));
-* a :class:`~repro.stream.sliding_dft.SlidingDFT` over the trailing
-  window, tracking only the DC, diurnal, and harmonic bins — O(tracked
-  bins) per round instead of O(n log n) per reclassification;
+* the hold-filled trailing window of frozen rounds and its running
+  sum, so the window mean the sleep/wake edge detector needs costs O(1)
+  per round; the provisional spectrum is one exact ``rfft`` of that
+  window, computed only when :meth:`StreamEngine.provisional` is read;
 * a hysteresis-stable diurnal label that only transitions after
   ``label_dwell`` consecutive window closes agree, so verdicts don't
   flap at the strict/relaxed boundary;
@@ -71,7 +72,6 @@ from repro.stream.events import (
     QualityRestored,
     WindowClosed,
 )
-from repro.stream.sliding_dft import SlidingDFT
 from repro.stream.window import RoundWindow
 
 __all__ = [
@@ -104,11 +104,9 @@ class StreamConfig:
         classifier: thresholds shared with the batch classifier.
         label_dwell: consecutive closes a new label needs before the
             stable label transitions (1 disables hysteresis).
-        edge_margin: half-width of the dead band around the sliding
+        edge_margin: half-width of the dead band around the trailing
             window mean for sleep/wake edge detection, in availability
             units.
-        reseed_every: recompute the sliding DFT exactly every this many
-            rounds to cancel float drift (``None``: once per window).
     """
 
     window_rounds: int
@@ -121,7 +119,6 @@ class StreamConfig:
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
     label_dwell: int = 2
     edge_margin: float = 0.05
-    reseed_every: int | None = None
 
     def __post_init__(self) -> None:
         if self.window_rounds < 4:
@@ -146,8 +143,6 @@ class StreamConfig:
             raise ValueError("label_dwell must be at least 1")
         if self.edge_margin < 0:
             raise ValueError("edge_margin must be non-negative")
-        if self.reseed_every is not None and self.reseed_every < 1:
-            raise ValueError("reseed_every must be positive")
 
     @property
     def hop(self) -> int:
@@ -177,11 +172,13 @@ class StreamConfig:
 
 @dataclass(frozen=True)
 class ProvisionalEstimate:
-    """Per-round spectral state from the sliding DFT (cheap, approximate).
+    """Spectral state of the trailing window, computed when read.
 
-    Exact verdicts only happen at window closes; between closes this is
-    the O(tracked bins) view: the trailing window's mean, its 1-cycle/day
-    amplitude and phase, and the strongest harmonic.  ``primed`` is False
+    Verdicts only happen at window closes; between closes this is the
+    live view: the trailing window's mean, its 1-cycle/day amplitude and
+    phase, and the strongest harmonic.  The values are exact — one
+    ``np.fft.rfft`` of the hold-filled trailing window, oldest round
+    first, rounds not yet filled counted as 0.  ``primed`` is False
     until the trailing window is fully covered by observed (or held)
     rounds, when the numbers are not yet meaningful.
     """
@@ -211,11 +208,10 @@ class _BlockState:
 
     __slots__ = (
         "ring",
-        "dft",
         "filled_ring",
+        "window_sum",
         "last_filled",
         "trailing_missing",
-        "n_frozen",
         "max_round",
         "watermark",
         "next_close_start",
@@ -232,13 +228,12 @@ class _BlockState:
         "n_observations",
     )
 
-    def __init__(self, capacity: int, window: int, bins) -> None:
+    def __init__(self, capacity: int, window: int) -> None:
         self.ring = RoundWindow(capacity)
-        self.dft = SlidingDFT(window, bins)
         self.filled_ring = np.full(window, np.nan)
+        self.window_sum = 0.0
         self.last_filled = float("nan")
         self.trailing_missing = window
-        self.n_frozen = 0
         self.max_round = -1
         self.watermark = -1
         self.next_close_start = 0
@@ -264,8 +259,8 @@ class _EngineMetrics:
     """
 
     __slots__ = ("enabled", "ingested", "late", "invalid", "frozen",
-                 "reseeds", "closes", "partial_closes", "transitions",
-                 "blocks", "close_seconds", "ingest_rate")
+                 "closes", "partial_closes", "transitions", "blocks",
+                 "close_seconds", "ingest_rate")
 
     _CLOSE_BUCKETS = (
         1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 5e-3, 2.5e-2, 0.1,
@@ -277,7 +272,6 @@ class _EngineMetrics:
         self.late = registry.counter("stream_late_observations_total")
         self.invalid = registry.counter("stream_invalid_observations_total")
         self.frozen = registry.counter("stream_rounds_frozen_total")
-        self.reseeds = registry.counter("stream_dft_reseeds_total")
         self.closes = registry.counter(
             "stream_window_closes_total", partial="false"
         )
@@ -344,13 +338,7 @@ class StreamEngine:
             max_harmonic=config.classifier.max_harmonic,
             tolerance=config.classifier.harmonic_tolerance,
         )
-        self._tracked = np.unique(
-            np.concatenate([[0], self._cand, self._harmonics])
-        )
         self._capacity = n + config.hop + config.lateness_rounds + 2
-        self._reseed_every = (
-            n if config.reseed_every is None else config.reseed_every
-        )
 
     # -- ingestion ---------------------------------------------------------
 
@@ -499,15 +487,33 @@ class StreamEngine:
         state = self._states.get(block_id)
         return 0 if state is None else state.next_close_start
 
+    def window_mean(self, block_id: int) -> float | None:
+        """Mean of the trailing window of frozen rounds, in O(1).
+
+        ``None`` until the window is primed (every round in it observed
+        or held) and for untracked blocks.  This is the midline the
+        sleep/wake edge detector and the overload shedder compare
+        samples against; reading it never builds a spectrum.
+        """
+        state = self._states.get(block_id)
+        if state is None or state.trailing_missing:
+            return None
+        return self._mean(state)
+
     def provisional(self, block_id: int) -> ProvisionalEstimate:
-        """The current trailing-window spectral state (O(tracked bins))."""
+        """The trailing window's spectral state: one exact ``rfft``."""
         state = self._states[block_id]
-        dft = state.dft
-        cand_amps = dft.amplitudes(self._cand)
+        n = self.config.window_rounds
+        # ``filled_ring[r % n]`` holds round r; roll the oldest retained
+        # round to the front.  Rounds not yet filled count as 0, the
+        # zero-padded history of a priming window.
+        window = np.roll(state.filled_ring, -((state.watermark + 1) % n))
+        coefficients = np.fft.rfft(np.nan_to_num(window, nan=0.0))
+        cand_amps = np.abs(coefficients[self._cand])
         best = int(np.argmax(cand_amps))
         k_best = int(self._cand[best])
         strongest_harmonic = (
-            float(dft.amplitudes(self._harmonics).max())
+            float(np.abs(coefficients[self._harmonics]).max())
             if len(self._harmonics)
             else 0.0
         )
@@ -515,10 +521,10 @@ class StreamEngine:
             block_id=block_id,
             round_index=state.watermark,
             time_s=self._round_time(state.watermark),
-            mean=dft.mean(),
+            mean=self._mean(state),
             diurnal_k=k_best,
             diurnal_amplitude=float(cand_amps[best]),
-            diurnal_phase=dft.phase(k_best),
+            diurnal_phase=float(np.angle(coefficients[k_best])),
             strongest_harmonic=strongest_harmonic,
             primed=state.trailing_missing == 0,
         )
@@ -528,7 +534,7 @@ class StreamEngine:
 
         This is the read surface the serving layer exposes per block:
         the hysteresis-stable label, the last window-close report (the
-        bit-identical-to-batch verdict), the cheap provisional spectral
+        bit-identical-to-batch verdict), the provisional spectral
         estimate, and the ingest bookkeeping an operator asks about
         (watermark, late/observation counts).  Values are engine-native
         objects — :func:`repro.serve.shard.snapshot_to_dict` flattens
@@ -631,15 +637,16 @@ class StreamEngine:
     def _state(self, block_id: int) -> _BlockState:
         state = self._states.get(block_id)
         if state is None:
-            state = _BlockState(
-                self._capacity, self.config.window_rounds, self._tracked
-            )
+            state = _BlockState(self._capacity, self.config.window_rounds)
             self._states[block_id] = state
             self._m.blocks.inc()
         return state
 
     def _round_time(self, r: int) -> float:
         return self.config.start_s + r * self.config.round_s
+
+    def _mean(self, state: _BlockState) -> float:
+        return float(state.window_sum) / self.config.window_rounds
 
     def _advance(self, state: _BlockState, block_id: int, target: int) -> None:
         close_at = state.next_close_start + self.config.window_rounds - 1
@@ -657,7 +664,7 @@ class StreamEngine:
     def _freeze_round(
         self, state: _BlockState, block_id: int, f: int
     ) -> None:
-        """Fix round ``f``'s held value and push it through the DFT."""
+        """Fix round ``f``'s held value and slide it into the window sum."""
         n = self.config.window_rounds
         raw = state.ring.value_at(f)
         if np.isnan(raw):
@@ -670,26 +677,21 @@ class StreamEngine:
         state.filled_ring[i] = filled
         entering_nan = np.isnan(filled)
         evicted_nan = np.isnan(evicted)
-        state.dft.slide(
-            0.0 if entering_nan else filled,
-            0.0 if evicted_nan else evicted,
+        # Unfilled rounds count as 0, as in the provisional spectrum.
+        state.window_sum = (
+            state.window_sum
+            - (0.0 if evicted_nan else evicted)
+            + (0.0 if entering_nan else filled)
         )
         state.trailing_missing += int(entering_nan) - int(evicted_nan)
-        state.n_frozen += 1
         self._pending_frozen += 1
-        if state.n_frozen % self._reseed_every == 0:
-            order = np.arange(f - n + 1, f + 1) % n
-            state.dft.reseed(
-                np.nan_to_num(state.filled_ring[order], nan=0.0)
-            )
-            self._m.reseeds.inc()
         if state.trailing_missing == 0 and not entering_nan:
             self._phase_edge(state, block_id, f, filled)
 
     def _phase_edge(
         self, state: _BlockState, block_id: int, f: int, value: float
     ) -> None:
-        mean = state.dft.mean()
+        mean = self._mean(state)
         if value > mean + self.config.edge_margin:
             level = "high"
         elif value < mean - self.config.edge_margin:

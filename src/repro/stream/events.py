@@ -94,7 +94,7 @@ class PhaseEdge(StreamEvent):
 
     ``kind`` is ``"sleep"`` (availability fell below mean − margin) or
     ``"wake"`` (rose above mean + margin); ``value`` and ``window_mean``
-    are the crossing sample and the sliding-window mean that defined the
+    are the crossing sample and the trailing-window mean that defined the
     band.
     """
 

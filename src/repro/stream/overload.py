@@ -395,8 +395,8 @@ class AdmissionController:
         """(tier, tie-break hash, round) for one queued observation.
 
         Lower tuples shed first.  Tier is derived from *public* engine
-        state only (stable run length, last phase edge, provisional
-        mean), so the score — and therefore the shed set — is a
+        state only (stable run length, last phase edge, window mean),
+        so the score — and therefore the shed set — is a
         deterministic function of the seed and the observation history.
         """
         _, block_id, time_s, value = entry
@@ -420,9 +420,11 @@ class AdmissionController:
                     # path back to a verdict.
                     cached = (2, None, None)
                 else:
-                    prov = engine.provisional(block_id)
-                    mean = prov.mean if prov.primed else None
-                    cached = (0, engine.last_edge_round(block_id), mean)
+                    cached = (
+                        0,
+                        engine.last_edge_round(block_id),
+                        engine.window_mean(block_id),
+                    )
             memo[block_id] = cached
         base_tier, edge_round, mean = cached
         tier = base_tier

@@ -190,37 +190,3 @@ class TestBinValidation:
         spec.frequency_hz(0)
         spec.frequency_hz(spec.n_bins - 1)
 
-
-class TestGoertzel:
-    """Exact selected-bin DFT used to reseed the sliding engine."""
-
-    def test_matches_rfft_at_selected_bins(self):
-        from repro.core.spectral import goertzel
-
-        rng = np.random.default_rng(0)
-        values = rng.random(200)
-        bins = np.array([0, 1, 7, 50, 100])
-        want = np.fft.rfft(values)[bins]
-        np.testing.assert_allclose(goertzel(values, bins), want, atol=1e-9)
-
-    def test_rejects_nan(self):
-        from repro.core.spectral import goertzel
-
-        values = np.ones(16)
-        values[3] = np.nan
-        with pytest.raises(ValueError):
-            goertzel(values, np.array([0]))
-
-    def test_rejects_out_of_range_bins(self):
-        from repro.core.spectral import goertzel
-
-        with pytest.raises(ValueError):
-            goertzel(np.ones(16), np.array([9]))
-        with pytest.raises(ValueError):
-            goertzel(np.ones(16), np.array([-1]))
-
-    def test_rejects_2d(self):
-        from repro.core.spectral import goertzel
-
-        with pytest.raises(ValueError):
-            goertzel(np.ones((2, 8)), np.array([0]))

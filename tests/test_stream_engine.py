@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.classify import DiurnalClass, reports_equal
+from repro.core.spectral import diurnal_bin, diurnal_candidates, harmonic_bins
+from repro.core.timeseries import observations_to_grid
 from repro.faults.config import FaultConfig
 from repro.faults.plan import FaultPlan
 from repro.stream import (
@@ -23,8 +25,10 @@ from repro.stream import (
     QualityRestored,
     StreamConfig,
     StreamEngine,
+    StreamJournal,
     WindowClosed,
     batch_window_report,
+    replay_journal,
 )
 
 ROUND = 660.0
@@ -49,6 +53,29 @@ def flat_stream(n_days, seed=0, noise=0.02, mean=0.5):
     n = int(n_days * DAY / ROUND)
     times = np.arange(n) * ROUND
     return times, mean + noise * rng.standard_normal(n)
+
+
+def held_grid(times, values, n_rounds):
+    """Rounds ``[0, n_rounds)`` gridded the batch way and hold-filled.
+
+    The independent reference for the engine's frozen rounds: each gap
+    carries the last observation forward, and rounds before the first
+    observation count as 0.
+    """
+    grid, _ = observations_to_grid(times, values, ROUND, 0.0, n_rounds)
+    last = 0.0
+    for i, v in enumerate(grid):
+        if np.isnan(v):
+            grid[i] = last
+        else:
+            last = v
+    return grid
+
+
+def trailing_window(held, end_round, n):
+    """The ``n`` rounds ending at ``end_round``, zero-padded before 0."""
+    padded = np.concatenate([np.zeros(n), held[: end_round + 1]])
+    return padded[-n:]
 
 
 def assert_parity(sink, times, values, config):
@@ -357,6 +384,44 @@ class TestPhaseEdges:
         # Roughly one sleep and one wake per day after priming.
         assert 4 <= len(edges) <= 12
 
+    def test_running_mean_does_not_drift(self, tmp_path):
+        faults = FaultConfig(
+            round_drop_rate=0.05,
+            round_duplicate_rate=0.05,
+            gaps_per_day=1.0,
+            mean_gap_rounds=6.0,
+            seed=15,
+        )
+        times, values = diurnal_stream(60, seed=15)
+        obs_t, obs_v = FaultPlan(faults).degrade_stream(times, values, ROUND)
+        config = StreamConfig.for_days(1.0, edge_margin=0.1, label_dwell=1)
+        n = config.window_rounds
+
+        sink = ListSink()
+        engine = StreamEngine(config, sinks=[sink])
+        path = tmp_path / "wal"
+        with StreamJournal(path) as journal:
+            for t, v in zip(obs_t, obs_v):
+                journal.append(0, float(t), float(v))
+                engine.ingest(0, float(t), float(v))
+        engine.flush()
+        assert engine.n_late(0) == 0
+
+        edges = sink.of_type(PhaseEdge)
+        assert len(edges) >= 100
+        held = held_grid(obs_t, obs_v, engine.watermark(0) + 1)
+        for edge in edges:
+            window = trailing_window(held, edge.round_index, n)
+            assert edge.window_mean == pytest.approx(
+                window.mean(), abs=1e-9
+            )
+
+        replay_sink = ListSink()
+        replayed = StreamEngine(config, sinks=[replay_sink])
+        replay_journal(path, replayed)
+        replayed.flush()
+        assert replay_sink.of_type(PhaseEdge) == edges
+
     def test_flat_stream_has_no_edges(self):
         times, values = flat_stream(4, seed=14, noise=0.01)
         config = StreamConfig.for_days(2.0, edge_margin=0.2, label_dwell=1)
@@ -508,8 +573,79 @@ class TestProvisional:
         window = values[wm - n + 1: wm + 1]
         ref = np.abs(np.fft.rfft(window))
         assert est.diurnal_amplitude == pytest.approx(
-            ref[est.diurnal_k], rel=1e-6
+            ref[est.diurnal_k], abs=1e-12
         )
+
+    @staticmethod
+    def assert_exact(engine, block_id, times, values):
+        """Every provisional field equals an rfft of the held window."""
+        config = engine.config
+        n = config.window_rounds
+        wm = engine.watermark(block_id)
+        est = engine.provisional(block_id)
+        window = trailing_window(held_grid(times, values, wm + 1), wm, n)
+        ref = np.fft.rfft(window)
+        cand = np.array(diurnal_candidates(n, config.round_s))
+        assert est.diurnal_k == cand[np.argmax(np.abs(ref[cand]))]
+        k_d = diurnal_bin(n, config.round_s)
+        harmonics = harmonic_bins(
+            k_d,
+            n // 2 + 1,
+            max_harmonic=config.classifier.max_harmonic,
+            tolerance=config.classifier.harmonic_tolerance,
+        )
+        assert est.round_index == wm
+        assert est.mean == pytest.approx(ref[0].real / n, abs=1e-12)
+        assert est.diurnal_amplitude == pytest.approx(
+            np.abs(ref[est.diurnal_k]), abs=1e-12
+        )
+        assert est.diurnal_phase == pytest.approx(
+            np.angle(ref[est.diurnal_k]), abs=1e-12
+        )
+        assert est.strongest_harmonic == pytest.approx(
+            np.abs(ref[harmonics]).max(), abs=1e-12
+        )
+        return est
+
+    def test_exact_while_priming(self):
+        times, values = diurnal_stream(4, seed=25)
+        config = StreamConfig.for_days(2.0, label_dwell=1)
+        engine = StreamEngine(config)
+        half = config.window_rounds // 2
+        engine.ingest_many(0, times[:half], values[:half])
+        est = self.assert_exact(engine, 0, times[:half], values[:half])
+        assert not est.primed
+        assert engine.window_mean(0) is None
+
+    def test_exact_after_several_windows(self):
+        times, values = diurnal_stream(9, seed=26)
+        config = StreamConfig.for_days(2.0, label_dwell=1)
+        engine = StreamEngine(config)
+        engine.ingest_many(0, times, values)
+        est = self.assert_exact(engine, 0, times, values)
+        assert est.primed
+        assert engine.window_mean(0) == est.mean
+
+    def test_exact_under_gaps_and_duplicates(self):
+        faults = FaultConfig(
+            round_drop_rate=0.1,
+            round_duplicate_rate=0.1,
+            gaps_per_day=2.0,
+            mean_gap_rounds=8.0,
+            seed=27,
+        )
+        times, values = diurnal_stream(7, seed=27)
+        obs_t, obs_v = FaultPlan(faults).degrade_stream(times, values, ROUND)
+        assert len(np.unique(np.round(obs_t / ROUND))) < len(obs_t)
+        config = StreamConfig.for_days(2.0, label_dwell=1)
+        engine = StreamEngine(config)
+        engine.ingest_many(0, obs_t, obs_v)
+        assert engine.n_late(0) == 0
+        assert self.assert_exact(engine, 0, obs_t, obs_v).primed
+
+    def test_window_mean_of_untracked_block_is_none(self):
+        engine = StreamEngine(StreamConfig.for_days(1.0))
+        assert engine.window_mean(0) is None
 
     def test_flat_stream_not_diurnal(self):
         times, values = flat_stream(2, seed=23)
