@@ -24,40 +24,17 @@ from pathlib import Path
 
 import numpy as np
 
+from benchmarks.service_fleet import N_BLOCKS, N_ROUNDS, ROUND, diurnal_fleet
 from repro.serve import ServiceConfig, ServiceRunner
 from repro.stream.engine import StreamConfig
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-ROUND = 3600.0
-DAY = 86400.0
 WINDOW = 24
-N_BLOCKS = 96
-N_ROUNDS = 96  # 4 days per block
 N_QUERIES = 300
 SHARD_COUNTS = (1, 2, 4)
 SEED = 23
 BATCH = 4096
-
-
-def workload() -> list:
-    """One fleet, identical across shard counts, in arrival order."""
-    rng = np.random.default_rng(SEED)
-    times = np.arange(N_ROUNDS) * ROUND
-    observations = []
-    phases = rng.uniform(0.0, 2.0 * np.pi, N_BLOCKS)
-    for block_id in range(N_BLOCKS):
-        values = (
-            0.5
-            + 0.4 * np.sin(2.0 * np.pi * times / DAY + phases[block_id])
-            + 0.02 * rng.standard_normal(N_ROUNDS)
-        )
-        observations.extend(
-            (block_id, float(times[r]), float(values[r]))
-            for r in range(N_ROUNDS)
-        )
-    observations.sort(key=lambda triple: (triple[1], triple[0]))
-    return observations
 
 
 def run_level(n_shards: int, observations: list, tmp_dir: Path) -> dict:
@@ -100,7 +77,7 @@ def run_level(n_shards: int, observations: list, tmp_dir: Path) -> dict:
 
 
 def test_service_shard_scaling(tmp_path, trajectory):
-    observations = workload()
+    observations = diurnal_fleet(SEED)
     levels = [run_level(n, observations, tmp_path) for n in SHARD_COUNTS]
 
     lines = [

@@ -5,22 +5,27 @@ processes:
 
 * **placement** — a seeded :class:`~repro.serve.ring.HashRing` maps
   every block id to the ``replication`` distinct shards of its replica
-  chain (``lookup_chain``); entry 0 is the classic single owner.  The
-  ring is fixed at start; a dead shard is marked *unhealthy* rather
-  than remapped, because its state lives in its journal and moving the
-  keys would strand it.  Respawn + replay + rejoin restores the same
+  chain (``lookup_chain``); entry 0 is the block's owner.  The ring is
+  fixed at start; a dead shard is marked *unhealthy* rather than
+  remapped, because its state lives in its journal and moving the keys
+  would strand it.  Respawn + replay + rejoin restores the same
   placement with the same state.
-* **replication** (``replication > 1``) — every accepted observation
-  fans out to all live replicas in its chain, each copy carrying a
-  sequence number from the *destination* shard's stream (workers mask
-  seqs at or below their journal high-water, so re-sends are
-  idempotent).  Copies owed to a dead replica park as **hinted
-  handoff** in the first live replica of the chain; a respawned shard
-  replays its journal, then anti-entropy syncs the hints (final round
-  gated against concurrent writes) before it turns healthy — failover
-  and rejoin are both invisible to clients.  Reads assemble a quorum
-  across the chain and pick the freshest answer by applied-observation
-  count, degrading explicitly (``partial``/``stale``), never silently.
+* **one write path** — at every replication factor (R=1 is a chain of
+  length one) each observation fans out to all live shards of its
+  chain, each copy carrying a sequence number from the *destination*
+  shard's stream (workers mask seqs at or below their journal
+  high-water, so re-sends are idempotent).  Only seq assignment is
+  serialized; each shard's batch then rides that shard's own dispatch
+  thread, so one request's RPCs to different shards, and concurrent
+  requests, overlap.  Copies of accepted observations owed to a dead
+  replica park as **hinted handoff** in another live replica of the
+  chain; a respawned shard replays its journal, then anti-entropy
+  syncs the hints (final round gated against concurrent writes) before
+  it turns healthy — failover and rejoin are both invisible to
+  clients, and with no hints held the sync forwards nothing.  Reads
+  assemble a quorum across the chain and pick the freshest answer by
+  applied-observation count, degrading explicitly
+  (``partial``/``stale``), never silently.
 * **supervision** — a daemon thread checks process liveness and
   heartbeat staleness every cycle using the
   :class:`~repro.core.supervisor.SlotSupervisor` policy: a dead or
@@ -52,6 +57,8 @@ processes:
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import multiprocessing
 import threading
@@ -103,10 +110,11 @@ class ServiceConfig:
         journal_dir: directory holding one write-ahead journal per
             shard (``shard-NN.journal``) plus the final manifest.
         n_shards: shard worker processes.
-        replication: replicas per block (``lookup_chain`` width).  1 is
-            the classic single-owner service; R > 1 fans every write to
-            R distinct shards, keeps serving through R−1 failures, and
-            catches dead replicas up via hinted handoff on rejoin.
+        replication: replicas per block (``lookup_chain`` width).  Every
+            write goes to the R distinct shards of its chain through
+            the same path at any R; the service keeps serving through
+            R−1 failures and catches dead replicas up via hinted
+            handoff on rejoin.
         hint_capacity: hinted observations one surviving shard will
             hold for dead peers before marking them stale (explicit
             degradation instead of unbounded memory).
@@ -214,6 +222,13 @@ class ServiceConfig:
         return Path(self.journal_dir) / "metrics-history.jsonl"
 
 
+def _shard_entry(report: dict, shard_id: int) -> dict:
+    """One shard's row of an ingest report."""
+    return report["shards"].setdefault(
+        shard_id, {"accepted": 0, "rejected": 0, "reason": None}
+    )
+
+
 class _Slot:
     """Supervisor-side state for one shard slot."""
 
@@ -227,6 +242,7 @@ class _Slot:
         "respawned_at",
         "settled",
         "lock",
+        "dispatch",
     )
 
     def __init__(self, shard_id: int) -> None:
@@ -243,6 +259,9 @@ class _Slot:
         self.respawned_at = 0.0
         self.settled = True
         self.lock = threading.Lock()
+        # Single thread, FIFO: ingest batches reach the shard in the
+        # order their seqs were assigned.
+        self.dispatch: ThreadPoolExecutor | None = None
 
 
 class _ServiceMetrics:
@@ -362,13 +381,21 @@ class ServiceRunner:
         self._thread: threading.Thread | None = None
         self._running = False
         self.drain_report: dict | None = None
-        # Replication state (all no-ops at replication=1).  The ingest
-        # lock serializes seq assignment *and* dispatch, so every
-        # shard sees every destination stream in assignment order; the
-        # rejoin sync takes the same lock for its final hint round, so
-        # a healing shard can never miss a concurrent write.
+        # Write-path state.  The ingest lock covers only seq assignment
+        # and queueing on each shard's single dispatch thread, so every
+        # shard sees its destination stream in assignment order; the
+        # rejoin sync takes the same lock for its final hint round, and
+        # waits out the writes already in flight, so a healing shard
+        # can never miss a concurrent write.
         self._ingest_lock = threading.Lock()
         self._next_seq: dict[int, int] = {}
+        # In-flight writes: token -> {destination: first seq}, entered
+        # together with the seq assignment.  A write leaves only after
+        # storing its hints, so a hint forward that stays below every
+        # in-flight first seq never outruns one.
+        self._inflight: dict[int, dict[int, int]] = {}
+        self._inflight_cv = threading.Condition()
+        self._tokens = itertools.count()
         # block id -> replica chain; the ring is fixed at start, so the
         # cache is append-only and safe to share across threads.
         self._chains: dict[int, tuple[int, ...]] = {}
@@ -377,7 +404,7 @@ class ServiceRunner:
         # while holders live (a reaped holder zeroes its rows and marks
         # the targets stale).
         self._hint_counts: dict[tuple[int, int], int] = {}
-        self._pool: ThreadPoolExecutor | None = None
+        self._hint_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -414,6 +441,10 @@ class ServiceRunner:
         Path(self.config.journal_dir).mkdir(parents=True, exist_ok=True)
         ready: dict[int, dict] = {}
         for slot in self._slots:
+            slot.dispatch = ThreadPoolExecutor(
+                max_workers=1,
+                thread_name_prefix=f"service-dispatch-{slot.shard_id}",
+            )
             slot.client = self._spawn(slot.shard_id)
             info = slot.client.wait_ready()
             slot.healthy = True
@@ -429,14 +460,6 @@ class ServiceRunner:
                 pid=info["pid"],
                 n_replayed=info["n_replayed"],
                 truncated_bytes=info["truncated_bytes"],
-            )
-        if self.config.replication > 1:
-            # Fan-out RPCs block on journal write-ahead + admission per
-            # replica; dispatching them in parallel keeps the R-way
-            # ingest cost near the slowest replica, not the sum.
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.config.n_shards,
-                thread_name_prefix="service-fanout",
             )
         self._m.shards.set(self.config.n_shards)
         self._m.unhealthy.set(0)
@@ -481,9 +504,9 @@ class ServiceRunner:
                 slot.healthy = False
                 if slot.client is not None:
                     slot.client.stop()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+            if slot.dispatch is not None:
+                slot.dispatch.shutdown(wait=True)
+                slot.dispatch = None
         self._m.shards.set(0)
         self._running = False
         self.events.info("service.stopped", drained=drain)
@@ -492,15 +515,12 @@ class ServiceRunner:
     def drain(self) -> dict:
         """Drain every healthy shard; write the final manifest.
 
-        Under replication the hint queues flush *first* — forwarded
-        through the normal ingest path when the owed shard is alive,
-        appended straight into its journal file when it is dead — so
-        the final manifest never strands an acked observation copy in
-        a worker's memory.
+        The hint queues flush *first* — forwarded through the normal
+        ingest path when the owed shard is alive, appended straight
+        into its journal file when it is dead — so the final manifest
+        never strands an acked observation copy in a worker's memory.
         """
-        hints_flushed: dict[int, int] = {}
-        if self.config.replication > 1:
-            hints_flushed = self._flush_all_hints()
+        hints_flushed = self._flush_all_hints()
         shards: dict[int, dict] = {}
         for slot in self._slots:
             with slot.lock:
@@ -562,7 +582,7 @@ class ServiceRunner:
 
     def owner(self, block_id: int) -> int:
         """The shard id the ring assigns this block (chain entry 0)."""
-        return self.ring.lookup(int(block_id))
+        return self._chain(int(block_id))[0]
 
     def owners(self, block_id: int) -> tuple[int, ...]:
         """The block's replica chain: ``replication`` distinct shards."""
@@ -578,17 +598,28 @@ class ServiceRunner:
         return chain
 
     def ingest(self, observations, parent_context=None) -> dict:
-        """Route ``(block_id, time_s, value)`` triples to their shards.
+        """Route ``(block_id, time_s, value)`` triples to their replicas.
 
-        Returns an admission report: per-shard accepted counts, plus
-        ``backpressure``/``down``/``degraded`` flags when any
-        observation was rejected or landed on fewer than R replicas.
-        A shard whose admission queue asserted backpressure on a
-        previous batch rejects whole batches (the HTTP layer turns
-        that into 429 + Retry-After) until its queue drains below the
-        low watermark; an observation whose *entire* replica chain is
-        down rejects with 503 semantics.  Within a shard, arrival
-        order is preserved.
+        Every observation goes to each live shard of its replica chain
+        (one shard at R=1), carrying a sequence number from that
+        *destination* shard's stream.  Three write outcomes, all
+        explicit in the returned report:
+
+        * *accepted* — at least one replica acked the copy; a replica
+          that missed it gets the copy as a hint (``hinted``), and the
+          write counts as ``degraded`` when fewer than R replicas acked;
+        * *backpressure* — some live replica of the chain asserted
+          backpressure on an earlier batch and its queue has not yet
+          drained below the low watermark: the whole observation is
+          rejected (the HTTP layer answers 429 + Retry-After), so
+          replicas never diverge through admission;
+        * *shard_down* — no replica of the chain acked it (503).
+
+        Within a shard, arrival order is preserved.  Planning happens
+        without a lock; only seq assignment and queueing each
+        destination's batch on that shard's dispatch thread are
+        serialized, so every shard receives its seq stream in
+        assignment order while concurrent requests overlap their RPCs.
 
         ``parent_context`` (a :class:`~repro.obs.tracing.TraceContext`,
         normally the HTTP layer's ``http.request`` span) parents a
@@ -598,136 +629,7 @@ class ServiceRunner:
         and grafts into the same trace.
         """
         obs = list(observations)
-        if self.config.replication > 1:
-            with self._ingest_lock:
-                return self._ingest_replicated(obs, parent_context)
-        by_shard: dict[int, list] = {}
-        for triple in obs:
-            by_shard.setdefault(self.owner(triple[0]), []).append(triple)
-        report = {
-            "accepted": 0,
-            "rejected": 0,
-            "backpressure": False,
-            "down": False,
-            "degraded": False,
-            "shards": {},
-        }
-        route_span = self.tracer.begin(
-            "route", parent_context=parent_context,
-            n_obs=len(obs), n_shards=len(by_shard),
-        )
-        for shard_id in sorted(by_shard):
-            batch = by_shard[shard_id]
-            shard_report = self._ingest_shard(shard_id, batch, route_span)
-            report["accepted"] += shard_report["accepted"]
-            report["rejected"] += shard_report["rejected"]
-            report["backpressure"] |= shard_report["reason"] == "backpressure"
-            report["down"] |= shard_report["reason"] == "shard_down"
-            report["shards"][shard_id] = shard_report
-        self.tracer.end(route_span)
-        if route_span is not None:
-            self.events.info(
-                "service.route",
-                trace_id=route_span.trace_id,
-                span_id=route_span.span_id,
-                parent_span_id=route_span.parent_span_id,
-                n_obs=len(obs),
-                accepted=report["accepted"],
-                rejected=report["rejected"],
-            )
-        return report
-
-    def _ingest_shard(
-        self, shard_id: int, batch: list, route_span=None
-    ) -> dict:
-        slot = self._slots[shard_id]
-        n = len(batch)
-        if not slot.healthy:
-            self._m.rejected_down.inc(n)
-            return {"accepted": 0, "rejected": n, "reason": "shard_down"}
-        if slot.paused:
-            # Honor the shard's standing backpressure signal without
-            # another round trip; the supervision cycle (and the next
-            # accepted batch) refresh it when the queue drains.
-            self._refresh_paused(slot)
-            if slot.paused:
-                self._m.rejected_bp.inc(n)
-                return {
-                    "accepted": 0, "rejected": n, "reason": "backpressure"
-                }
-        ids = np.fromiter((t[0] for t in batch), dtype=np.int64, count=n)
-        times = np.fromiter((t[1] for t in batch), dtype=np.float64, count=n)
-        values = np.fromiter((t[2] for t in batch), dtype=np.float64, count=n)
-        rpc_span = self.tracer.begin(
-            "shard.rpc", parent=route_span, shard_id=shard_id, n=n
-        )
-        rpc_ctx = rpc_span.context.to_dict() if rpc_span is not None else None
-        accepted = 0
-        ack: dict | None = None
-        try:
-            with slot.lock:
-                if not slot.healthy or slot.client is None:
-                    raise ShardDownError(f"shard {shard_id} is down")
-                for start in range(0, n, self.config.max_batch):
-                    end = start + self.config.max_batch
-                    ack = slot.client.ingest(
-                        ids[start:end], times[start:end], values[start:end],
-                        trace_context=rpc_ctx,
-                    )
-                    accepted += ack["accepted"]
-        except (ShardDownError, ShardTimeoutError):
-            slot.healthy = False
-            self.tracer.end(rpc_span, parent=route_span)
-            self._m.ingested.inc(accepted)
-            self._m.rejected_down.inc(n - accepted)
-            return {
-                "accepted": accepted,
-                "rejected": n - accepted,
-                "reason": "shard_down",
-            }
-        self.tracer.end(rpc_span, parent=route_span)
-        if rpc_span is not None:
-            self.events.info(
-                "service.shard_rpc",
-                trace_id=rpc_span.trace_id,
-                span_id=rpc_span.span_id,
-                parent_span_id=rpc_span.parent_span_id,
-                shard_id=shard_id,
-                n=n,
-                accepted=accepted,
-            )
-        slot.paused = bool(ack["paused"]) if ack is not None else False
-        self._m.ingested.inc(accepted)
-        return {
-            "accepted": accepted,
-            "rejected": 0,
-            "reason": None,
-            "depth": ack["depth"] if ack is not None else 0,
-            "paused": slot.paused,
-        }
-
-    def _refresh_paused(self, slot: _Slot) -> None:
-        try:
-            with slot.lock:
-                if not slot.healthy or slot.client is None:
-                    return
-                stats = slot.client.stats()
-            slot.paused = bool(stats["paused"])
-        except (ShardDownError, ShardTimeoutError):
-            slot.healthy = False
-
-    # -- replicated ingest (called under _ingest_lock) ---------------------
-
-    def _ingest_replicated(self, obs: list, parent_context=None) -> dict:
-        """R-way fan-out: plan seqs, dispatch in parallel, hint the dead.
-
-        Three write outcomes, all explicit: *accepted* (at least one
-        live replica acked the copy; missing replicas are hinted and
-        the write counts as *degraded* when fewer than R acked),
-        *backpressure* (some live replica of the chain is paused — the
-        whole observation is rejected so replicas never diverge), and
-        *shard_down* (every replica of the chain is dead).
-        """
+        n = len(obs)
         R = self.config.replication
         report = {
             "accepted": 0,
@@ -738,140 +640,83 @@ class ServiceRunner:
             "degraded": False,
             "shards": {},
         }
-        per_shard = report["shards"]
-
-        def shard_entry(sid: int) -> dict:
-            return per_shard.setdefault(
-                sid, {"accepted": 0, "rejected": 0, "reason": None}
-            )
-
-        # Plan: one pass in arrival order, assigning each copy a seq
-        # from its destination shard's stream (dead destinations
-        # included — their copies become hints carrying the seq the
-        # journal will expect).
-        sends: dict[int, dict] = {}
-        pending_hints: list[tuple] = []  # (target, seq, b, t, v, chain)
-        positions: list[list[tuple[int, int]] | None] = [None] * len(obs)
-        paused_checked: set[int] = set()
-        for i, triple in enumerate(obs):
-            block_id = int(triple[0])
-            chain = self._chain(block_id)
-            live = [s for s in chain if self._slots[s].healthy]
-            if not live:
-                report["rejected"] += 1
-                report["down"] = True
-                entry = shard_entry(chain[0])
-                entry["rejected"] += 1
-                entry["reason"] = "shard_down"
-                self._m.rejected_down.inc()
-                continue
-            blocker = None
-            for sid in live:
-                slot = self._slots[sid]
-                if slot.paused and sid not in paused_checked:
-                    self._refresh_paused(slot)
-                    paused_checked.add(sid)
-                if slot.paused:
-                    blocker = sid
-                    break
-            if blocker is not None:
-                # Rejecting the whole observation (not just the paused
-                # replica's copy) keeps live replicas bit-identical;
-                # hinting *through* backpressure would let a client
-                # outrun the admission contract via dead shards.
-                report["rejected"] += 1
-                report["backpressure"] = True
-                entry = shard_entry(blocker)
-                entry["rejected"] += 1
-                entry["reason"] = "backpressure"
-                self._m.rejected_bp.inc()
-                continue
-            time_s = float(triple[1])
-            value = float(triple[2])
-            pos_list: list[tuple[int, int]] = []
-            for sid in chain:
-                seq = self._next_seq[sid]
-                self._next_seq[sid] = seq + 1
-                if sid in live:
-                    batch = sends.setdefault(
-                        sid,
-                        {"idx": [], "seqs": [], "ids": [],
-                         "times": [], "vals": []},
-                    )
-                    pos_list.append((sid, len(batch["seqs"])))
-                    batch["idx"].append(i)
-                    batch["seqs"].append(seq)
-                    batch["ids"].append(block_id)
-                    batch["times"].append(time_s)
-                    batch["vals"].append(value)
-                else:
-                    pending_hints.append(
-                        (sid, seq, block_id, time_s, value, chain)
-                    )
-            positions[i] = pos_list
+        ids = np.fromiter((t[0] for t in obs), dtype=np.int64, count=n)
+        times = np.fromiter((t[1] for t in obs), dtype=np.float64, count=n)
+        values = np.fromiter((t[2] for t in obs), dtype=np.float64, count=n)
+        plans, n_planned = self._plan(ids, report)
 
         route_span = self.tracer.begin(
             "route", parent_context=parent_context,
-            n_obs=len(obs), n_shards=len(sends), replication=R,
+            n_obs=n, n_shards=len(plans), replication=R,
         )
-        results: dict[int, dict] = {}
-        if len(sends) > 1 and self._pool is not None:
-            futures = {
-                sid: self._pool.submit(
-                    self._send_replica_batch, sid, batch, route_span
-                )
-                for sid, batch in sends.items()
-            }
+        first_seq: dict[int, int] = {}
+        futures = {}
+        if plans:
+            with self._ingest_lock:
+                with self._inflight_cv:
+                    for sid, idx in plans.items():
+                        first_seq[sid] = self._next_seq[sid]
+                        self._next_seq[sid] += len(idx)
+                    token = next(self._tokens)
+                    self._inflight[token] = first_seq
+                # Health is re-read here: a rejoining shard turns healthy
+                # only under this lock, so a copy is either sent to it
+                # or hinted by a write its final sync round waits out.
+                for sid, idx in plans.items():
+                    if self._slots[sid].healthy:
+                        futures[sid] = self._slots[sid].dispatch.submit(
+                            self._send_batch, sid, first_seq[sid],
+                            ids[idx], times[idx], values[idx], route_span,
+                        )
+        try:
+            # Resolution: an observation is accepted iff at least one
+            # replica acked its copy, degraded when fewer than R did.
             results = {sid: f.result() for sid, f in futures.items()}
-        else:
-            results = {
-                sid: self._send_replica_batch(sid, batch, route_span)
-                for sid, batch in sends.items()
-            }
+            n_ok = np.zeros(n, dtype=np.int64)
+            for sid, res in results.items():
+                n_ok[plans[sid][:res["acked"]]] += 1
+            accepted = n_ok > 0
+            n_accepted = int(np.count_nonzero(accepted))
+            n_failed = n_planned - n_accepted
+            n_degraded = int(np.count_nonzero(accepted & (n_ok < R)))
+            report["accepted"] = n_accepted
+            report["rejected"] += n_failed
+            report["down"] |= n_failed > 0
+            report["degraded"] = n_degraded > 0
+            self._m.ingested.inc(n_accepted)
+            self._m.rejected_down.inc(n_failed)
+            self._m.degraded.inc(n_degraded)
 
-        # Per-observation resolution: accepted iff at least one live
-        # copy was acked; degraded when fewer than R copies were.
-        for i, pos_list in enumerate(positions):
-            if pos_list is None:
-                continue
-            n_ok = sum(
-                1 for sid, pos in pos_list if results[sid]["acked"] > pos
-            )
-            if n_ok > 0:
-                report["accepted"] += 1
-                self._m.ingested.inc()
-                if n_ok < R:
-                    report["degraded"] = True
-                    self._m.degraded.inc()
-            else:
-                report["rejected"] += 1
-                report["down"] = True
-                self._m.rejected_down.inc()
-
-        # Retro-hints: the un-acked tail of a batch whose replica died
-        # mid-dispatch.  The worker may have journaled a prefix of it
-        # before dying — the seq mask on replay/forward makes the
-        # overlap idempotent, so hinting the whole tail is safe.
-        for sid, res in results.items():
-            batch = sends[sid]
-            n = len(batch["seqs"])
-            entry = shard_entry(sid)
-            entry["accepted"] += res["acked"]
-            if res["failed"]:
-                entry["rejected"] += n - res["acked"]
-                entry["reason"] = "shard_down"
-                chain_of = self._chain
-                for k in range(res["acked"], n):
-                    pending_hints.append(
-                        (sid, batch["seqs"][k], batch["ids"][k],
-                         batch["times"][k], batch["vals"][k],
-                         chain_of(batch["ids"][k]))
-                    )
-            else:
-                entry["depth"] = res["depth"]
-                entry["paused"] = res["paused"]
-
-        report["hinted"] = self._store_hints(pending_hints)
+            # Hints: every copy of an *accepted* observation that its
+            # destination did not ack — planned for a replica dead at
+            # plan time, or the un-acked tail of a batch whose replica
+            # died mid-RPC (the worker may have journaled a prefix of
+            # it; the seq mask makes the overlap idempotent).
+            pending: list[tuple] = []
+            for sid, idx in plans.items():
+                res = results.get(sid)
+                acked = 0 if res is None else res["acked"]
+                if res is not None:
+                    entry = _shard_entry(report, sid)
+                    entry["accepted"] += acked
+                    if not res["failed"]:
+                        entry["depth"] = res["depth"]
+                        entry["paused"] = res["paused"]
+                        continue
+                    entry["rejected"] += len(idx) - acked
+                    entry["reason"] = "shard_down"
+                for k in np.flatnonzero(accepted[idx[acked:]]) + acked:
+                    i = int(idx[k])
+                    pending.append((
+                        sid, first_seq[sid] + int(k), int(ids[i]),
+                        float(times[i]), float(values[i]),
+                    ))
+            report["hinted"] = self._store_hints(pending)
+        finally:
+            if plans:
+                with self._inflight_cv:
+                    del self._inflight[token]
+                    self._inflight_cv.notify_all()
 
         self.tracer.end(route_span)
         if route_span is not None:
@@ -880,23 +725,87 @@ class ServiceRunner:
                 trace_id=route_span.trace_id,
                 span_id=route_span.span_id,
                 parent_span_id=route_span.parent_span_id,
-                n_obs=len(obs),
+                n_obs=n,
                 accepted=report["accepted"],
                 rejected=report["rejected"],
                 hinted=report["hinted"],
             )
         return report
 
-    def _send_replica_batch(
-        self, shard_id: int, batch: dict, route_span=None
-    ) -> dict:
-        """One replica's ingest RPCs (runs on the fan-out pool)."""
+    def _plan(self, ids: np.ndarray, report: dict) -> tuple[dict, int]:
+        """Group arrival indices by destination shard, without a lock.
+
+        Indices are grouped by replica chain (one dict operation per
+        observation) and each chain is settled once against one health
+        snapshot: rejected into ``report`` when its whole chain is down
+        or a live member asserts backpressure, else planned for every
+        chain member.  Returns ``{shard: arrival-ordered indices}`` and
+        the number of observations planned.
+        """
+        by_chain: dict[tuple[int, ...], list[int]] = {}
+        chains = self._chains
+        for i, block_id in enumerate(ids.tolist()):
+            chain = chains.get(block_id) or self._chain(block_id)
+            by_chain.setdefault(chain, []).append(i)
+        healthy = [slot.healthy for slot in self._slots]
+        paused_checked: set[int] = set()
+        to_dest: dict[int, list[list[int]]] = {}
+        n_planned = 0
+        for chain, idx in by_chain.items():
+            live = [s for s in chain if healthy[s]]
+            if not live:
+                reason, sid = "shard_down", chain[0]
+                self._m.rejected_down.inc(len(idx))
+            else:
+                sid = next(
+                    (s for s in live if self._is_paused(s, paused_checked)),
+                    None,
+                )
+                if sid is None:
+                    n_planned += len(idx)
+                    for s in chain:
+                        to_dest.setdefault(s, []).append(idx)
+                    continue
+                # Rejecting the whole observation (not just the paused
+                # replica's copy) keeps live replicas bit-identical;
+                # hinting *through* backpressure would let a client
+                # outrun the admission contract via dead shards.
+                reason = "backpressure"
+                self._m.rejected_bp.inc(len(idx))
+            report["rejected"] += len(idx)
+            report["down" if reason == "shard_down" else "backpressure"] = True
+            entry = _shard_entry(report, sid)
+            entry["rejected"] += len(idx)
+            entry["reason"] = reason
+        plans = {
+            sid: np.asarray(lists[0], dtype=np.int64) if len(lists) == 1
+            else np.sort(np.concatenate(lists))
+            for sid, lists in to_dest.items()
+        }
+        return plans, n_planned
+
+    def _is_paused(self, shard_id: int, checked: set[int]) -> bool:
+        """Honor a shard's standing backpressure signal, refreshed at
+        most once per request (the supervision cycle and the next
+        accepted batch also refresh it when the queue drains)."""
         slot = self._slots[shard_id]
-        n = len(batch["seqs"])
-        ids = np.asarray(batch["ids"], dtype=np.int64)
-        times = np.asarray(batch["times"], dtype=np.float64)
-        values = np.asarray(batch["vals"], dtype=np.float64)
-        seqs = np.asarray(batch["seqs"], dtype=np.int64)
+        if slot.paused and shard_id not in checked:
+            checked.add(shard_id)
+            try:
+                with slot.lock:
+                    if slot.healthy and slot.client is not None:
+                        slot.paused = bool(slot.client.stats()["paused"])
+            except (ShardDownError, ShardTimeoutError):
+                slot.healthy = False
+        return slot.paused
+
+    def _send_batch(
+        self, shard_id: int, seq0: int, ids, times, values, route_span=None
+    ) -> dict:
+        """One destination's ingest RPCs (runs on its dispatch thread)."""
+        slot = self._slots[shard_id]
+        n = len(ids)
+        seqs = np.arange(seq0, seq0 + n, dtype=np.int64)
         rpc_span = self.tracer.begin(
             "shard.rpc", parent=route_span, shard_id=shard_id, n=n
         )
@@ -912,9 +821,9 @@ class ServiceRunner:
                     end = min(start + self.config.max_batch, n)
                     ack = slot.client.ingest(
                         ids[start:end], times[start:end], values[start:end],
-                        seqs=seqs[start:end], trace_context=rpc_ctx,
+                        seqs[start:end], trace_context=rpc_ctx,
                     )
-                    acked += end - start
+                    acked = end
         except (ShardDownError, ShardTimeoutError):
             slot.healthy = False
             failed = True
@@ -939,15 +848,15 @@ class ServiceRunner:
         }
 
     def _store_hints(self, pending: list[tuple]) -> int:
-        """Park copies owed to dead replicas at their chain's first
-        live shard; a copy with no live holder is *dropped* and its
+        """Park copies owed to a replica at the first other live shard
+        of their chain; a copy with no live holder is *dropped* and its
         target marked stale (never silently lost)."""
         if not pending:
             return 0
         batches: dict[tuple[int, int], list] = {}
-        for target, seq, block_id, time_s, value, chain in pending:
+        for target, seq, block_id, time_s, value in pending:
             holder = next(
-                (s for s in chain
+                (s for s in self._chains[block_id]
                  if s != target and self._slots[s].healthy),
                 None,
             )
@@ -991,11 +900,7 @@ class ServiceRunner:
                     target=target,
                     dropped=res["dropped"],
                 )
-            key = (holder_id, target)
-            self._hint_counts[key] = (
-                self._hint_counts.get(key, 0) + res["stored"]
-            )
-        self._m.hint_backlog.set(sum(self._hint_counts.values()))
+            self._count_hints(holder_id, target, res["stored"])
         return stored_total
 
     # -- queries -----------------------------------------------------------
@@ -1126,11 +1031,13 @@ class ServiceRunner:
                         slot.healthy = False
                         entry["healthy"] = False
             shards[str(slot.shard_id)] = entry
+        with self._hint_lock:
+            hint_backlog = sum(self._hint_counts.values())
         return {
             "run_id": self.run_id,
             "n_shards": self.config.n_shards,
             "replication": self.config.replication,
-            "hint_backlog": sum(self._hint_counts.values()),
+            "hint_backlog": hint_backlog,
             "ring_replicas": self.config.ring_replicas,
             "seed": self.config.seed,
             "uptime_s": (
@@ -1246,12 +1153,8 @@ class ServiceRunner:
             return
         if not self.history.sample(registry, now, force=force):
             return
-        try:
+        with self._hint_lock:
             counts = dict(self._hint_counts)
-        except RuntimeError:
-            # Lost the race with a concurrent resize; skip the lag
-            # series this instant rather than stall the loop.
-            counts = {}
         owed: dict[int, int] = {}
         for (_holder, target), n in counts.items():
             owed[target] = owed.get(target, 0) + n
@@ -1301,13 +1204,16 @@ class ServiceRunner:
     def _sync_hints(self, slot: _Slot, client: ShardClient) -> dict:
         """Drain every hint owed to a respawned shard, then heal it.
 
-        Free-running rounds forward the bulk without blocking writers;
-        the final round holds ``_ingest_lock`` so nothing can slip in
-        between the last peek and the shard turning healthy — writers
-        see a latency blip, never an error.  Forwards go through the
-        normal ingest RPC, so the seq mask drops anything the shard's
-        journal already had (e.g. the journaled prefix of a half-acked
-        batch that was retro-hinted).
+        Free-running rounds forward the bulk without blocking writers,
+        staying below the first seq of every write still in flight;
+        the final round holds ``_ingest_lock`` and waits out the writes
+        already dispatched, so nothing can slip in between the last
+        peek and the shard turning healthy — writers see a latency
+        blip, never an error.  Forwards go through the normal ingest
+        RPC, so the seq mask drops anything the shard's journal already
+        had (e.g. the journaled prefix of a half-acked batch that was
+        retro-hinted).  With no hints held anywhere every round is
+        empty and the shard simply turns healthy.
         """
         shard_id = slot.shard_id
         self._m.syncing.set(1)
@@ -1316,11 +1222,15 @@ class ServiceRunner:
         try:
             while rounds < 64:
                 rounds += 1
-                n = self._forward_hints(shard_id, client)
+                n = self._forward_hints(
+                    shard_id, client, below=self._settled_below(shard_id)
+                )
                 replayed += n
                 if n == 0:
                     break
             with self._ingest_lock:
+                with self._inflight_cv:
+                    self._inflight_cv.wait_for(lambda: not self._inflight)
                 while True:
                     n = self._forward_hints(shard_id, client)
                     replayed += n
@@ -1339,11 +1249,51 @@ class ServiceRunner:
         )
         return {"replayed": replayed, "rounds": rounds}
 
-    def _forward_hints(self, target: int, client: ShardClient) -> int:
-        """One sync round: peek every holder, merge by seq, forward,
+    def _settled_below(self, target: int) -> int:
+        """``target``'s seqs below this belong to finished writes only:
+        the lowest first seq of any write still in flight, else the
+        next seq to assign."""
+        with self._inflight_cv:
+            return min(
+                (firsts[target] for firsts in self._inflight.values()
+                 if target in firsts),
+                default=self._next_seq[target],
+            )
+
+    def _forward_hints(
+        self, target: int, client: ShardClient, below: int | None = None
+    ) -> int:
+        """One sync round: peek every holder, forward in seq order,
         then ack (destructive only after the forward succeeded)."""
-        collected: list[tuple[int, int, float, float]] = []
-        acks: list[tuple[_Slot, int, int]] = []  # (holder, upto, count)
+        hints, acks = self._peek_hints(target, self.config.max_batch, below)
+        if not hints:
+            return 0
+        ids, times, values, seqs = hints
+        n = len(seqs)
+        for start in range(0, n, self.config.max_batch):
+            end = min(start + self.config.max_batch, n)
+            client.ingest(
+                ids[start:end], times[start:end], values[start:end],
+                seqs[start:end],
+            )
+        self._ack_hints(target, acks)
+        return n
+
+    def _peek_hints(
+        self, target: int, max_n: int, below: int | None = None
+    ) -> tuple[tuple | None, list]:
+        """Collect the hints every live holder keeps for ``target``.
+
+        Returns ``(ids, times, values, seqs)`` arrays in seq order (or
+        None when there is nothing to forward) and the
+        ``(holder, upto, count)`` acks that retire them.  Only a prefix
+        with every lower seq in hand is taken: below ``below`` (a write
+        in flight may still store hints past it) and below the end of
+        any holder's truncated peek — forwarding past a gap would raise
+        the target's journal high-water over copies not yet sent, and
+        the seq mask would then drop them.
+        """
+        peeks = []
         for holder in self._slots:
             if holder.shard_id == target:
                 continue
@@ -1351,32 +1301,39 @@ class ServiceRunner:
                 if not holder.healthy or holder.client is None:
                     continue
                 try:
-                    peek = holder.client.peek_hints(
-                        target, self.config.max_batch
-                    )
+                    peek = holder.client.peek_hints(target, max_n)
                 except (ShardDownError, ShardTimeoutError):
                     holder.healthy = False
                     continue
             if peek["seqs"]:
+                peeks.append((holder, peek))
+        limit = math.inf if below is None else below
+        for _, peek in peeks:
+            if peek["remaining"]:
+                limit = min(limit, peek["seqs"][-1] + 1)
+        collected: list[tuple[int, int, float, float]] = []
+        acks: list[tuple[_Slot, int, int]] = []
+        for holder, peek in peeks:
+            k = bisect.bisect_left(peek["seqs"], limit)
+            if k:
                 collected.extend(
-                    zip(peek["seqs"], peek["block_ids"],
-                        peek["times"], peek["values"])
+                    zip(peek["seqs"][:k], peek["block_ids"][:k],
+                        peek["times"][:k], peek["values"][:k])
                 )
-                acks.append((holder, peek["seqs"][-1], len(peek["seqs"])))
+                acks.append((holder, peek["seqs"][k - 1], k))
         if not collected:
-            return 0
+            return None, acks
         collected.sort()
-        n = len(collected)
-        ids = np.asarray([c[1] for c in collected], dtype=np.int64)
-        times = np.asarray([c[2] for c in collected], dtype=np.float64)
-        values = np.asarray([c[3] for c in collected], dtype=np.float64)
-        seqs = np.asarray([c[0] for c in collected], dtype=np.int64)
-        for start in range(0, n, self.config.max_batch):
-            end = min(start + self.config.max_batch, n)
-            client.ingest(
-                ids[start:end], times[start:end], values[start:end],
-                seqs=seqs[start:end],
-            )
+        seqs, ids, times, values = zip(*collected)
+        return (
+            np.asarray(ids, dtype=np.int64),
+            np.asarray(times, dtype=np.float64),
+            np.asarray(values, dtype=np.float64),
+            np.asarray(seqs, dtype=np.int64),
+        ), acks
+
+    def _ack_hints(self, target: int, acks: list) -> None:
+        """Retire forwarded hints at their holders and in the mirror."""
         for holder, upto, count in acks:
             try:
                 with holder.lock:
@@ -1386,31 +1343,36 @@ class ServiceRunner:
             except (ShardDownError, ShardTimeoutError):
                 holder.healthy = False
                 continue
-            key = (holder.shard_id, target)
+            self._count_hints(holder.shard_id, target, -count)
+            self._m.hints_replayed.inc(count)
+
+    def _count_hints(self, holder: int, target: int, delta: int) -> None:
+        """Adjust the (holder, target) hint mirror and the backlog gauge."""
+        with self._hint_lock:
+            key = (holder, target)
             self._hint_counts[key] = max(
-                0, self._hint_counts.get(key, 0) - count
+                0, self._hint_counts.get(key, 0) + delta
             )
-        self._m.hints_replayed.inc(n)
-        self._m.hint_backlog.set(sum(self._hint_counts.values()))
-        return n
+            self._m.hint_backlog.set(sum(self._hint_counts.values()))
 
     def _reap_held_hints(self, shard_id: int) -> None:
         """A dying shard takes its *held* hints with it: zero the
         mirror rows and mark the owed targets stale (their catch-up
         data is gone until an out-of-band anti-entropy pass)."""
-        for (holder, target), count in list(self._hint_counts.items()):
+        with self._hint_lock:
+            held = list(self._hint_counts.items())
+        for (holder, target), count in held:
             if holder != shard_id or count == 0:
                 continue
             self._m.hints_dropped.inc(count)
             self._slots[target].stale = True
-            self._hint_counts[(holder, target)] = 0
+            self._count_hints(holder, target, -count)
             self.events.warning(
                 "service.hints_lost_with_holder",
                 holder=holder,
                 target=target,
                 dropped=count,
             )
-        self._m.hint_backlog.set(sum(self._hint_counts.values()))
 
     def _flush_all_hints(self) -> dict[int, int]:
         """Drain-time flush: no hint survives only in worker memory.
@@ -1455,60 +1417,24 @@ class ServiceRunner:
         and only seqs past it are appended — replay on the next start
         is then exactly the uninterrupted stream.
         """
-        collected: list[tuple[int, int, float, float]] = []
-        acks: list[tuple[_Slot, int, int]] = []
-        for holder in self._slots:
-            if holder.shard_id == target:
-                continue
-            with holder.lock:
-                if not holder.healthy or holder.client is None:
-                    continue
-                try:
-                    peek = holder.client.peek_hints(
-                        target, self.config.hint_capacity
-                    )
-                except (ShardDownError, ShardTimeoutError):
-                    holder.healthy = False
-                    continue
-            if peek["seqs"]:
-                collected.extend(
-                    zip(peek["seqs"], peek["block_ids"],
-                        peek["times"], peek["values"])
-                )
-                acks.append((holder, peek["seqs"][-1], len(peek["seqs"])))
-        if not collected:
+        hints, acks = self._peek_hints(target, self.config.hint_capacity)
+        if not hints:
             return 0
-        collected.sort()
+        ids, times, values, seqs = hints
         journal = StreamJournal(
             self.config.journal_path(target), sync_every=None
         )
         try:
-            keep = [c for c in collected if c[0] > journal.next_seq - 1]
-            if keep:
+            keep = seqs > journal.next_seq - 1
+            if keep.any():
                 journal.append_many(
-                    np.asarray([c[1] for c in keep], dtype=np.int64),
-                    np.asarray([c[2] for c in keep], dtype=np.float64),
-                    np.asarray([c[3] for c in keep], dtype=np.float64),
-                    seqs=np.asarray([c[0] for c in keep], dtype=np.int64),
+                    ids[keep], times[keep], values[keep], seqs=seqs[keep]
                 )
             journal.flush()
         finally:
             journal.close()
-        for holder, upto, count in acks:
-            try:
-                with holder.lock:
-                    if holder.healthy and holder.client is not None:
-                        holder.client.ack_hints(target, upto)
-            except (ShardDownError, ShardTimeoutError):
-                holder.healthy = False
-                continue
-            key = (holder.shard_id, target)
-            self._hint_counts[key] = max(
-                0, self._hint_counts.get(key, 0) - count
-            )
-        self._m.hints_replayed.inc(len(collected))
-        self._m.hint_backlog.set(sum(self._hint_counts.values()))
-        return len(collected)
+        self._ack_hints(target, acks)
+        return len(seqs)
 
     def _supervise_loop(self) -> None:
         interval = self.config.heartbeat_interval_s
@@ -1645,28 +1571,22 @@ class ServiceRunner:
             with slot.lock:
                 slot.client = client  # dead client; alive=False re-triggers
             return
-        if self.config.replication > 1:
-            # Anti-entropy before rejoin: journal replay restored the
-            # pre-kill state; the hints parked at surviving replicas
-            # carry everything accepted since.  The shard turns
-            # healthy *inside* the sync's final write-gated round, so
-            # rejoin is zero-downtime and loses nothing.
-            with slot.lock:
-                slot.client = client  # sync RPCs need it; still unhealthy
-            try:
-                sync = self._sync_hints(slot, client)
-            except (ShardDownError, ShardTimeoutError) as error:
-                self.events.error(
-                    "service.hint_sync_failed",
-                    shard_id=shard_id,
-                    error=str(error),
-                )
-                return  # dead/wedged client re-triggers the respawn path
-        else:
-            sync = None
-            with slot.lock:
-                slot.client = client
-                slot.healthy = True
+        # Anti-entropy before rejoin: journal replay restored the
+        # pre-kill state; the hints parked at surviving replicas carry
+        # everything accepted since.  The shard turns healthy *inside*
+        # the sync's final write-gated round, so rejoin is
+        # zero-downtime and loses nothing.
+        with slot.lock:
+            slot.client = client  # sync RPCs need it; still unhealthy
+        try:
+            sync = self._sync_hints(slot, client)
+        except (ShardDownError, ShardTimeoutError) as error:
+            self.events.error(
+                "service.hint_sync_failed",
+                shard_id=shard_id,
+                error=str(error),
+            )
+            return  # dead/wedged client re-triggers the respawn path
         with slot.lock:
             slot.respawns += 1
             slot.respawned_at = time.monotonic()
@@ -1679,7 +1599,7 @@ class ServiceRunner:
             reason=reason,
             pid=info["pid"],
             n_replayed=info["n_replayed"],
-            hints_replayed=sync["replayed"] if sync is not None else 0,
+            hints_replayed=sync["replayed"],
         )
 
     def _spawn(self, shard_id: int) -> ShardClient:

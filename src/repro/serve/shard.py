@@ -12,17 +12,18 @@ path, and because an unloaded controller is a direct delegation, the
 recovered engine state is bit-identical to an uninterrupted run over
 the same admitted observations.
 
-Under replication the runner assigns every observation copy a sequence
-number from the *destination* shard's stream and ships it with the
-batch; the worker masks any seq at or below its journal high-water
-before journaling, so a retried or re-forwarded batch (hinted handoff,
-a retro-hinted tail of a half-acked RPC) is idempotent — duplicates
-are dropped exactly where the durability record lives.  Each worker
-also keeps bounded in-memory **hint queues**: observation copies owed
-to a dead peer shard, stored here because this worker is the first
-live replica in that observation's chain.  The supervisor drains them
-with ``peek_hints`` / ``ack_hints`` (destructive only after the
-forward succeeded) when the peer rejoins.
+The runner assigns every observation copy a sequence number from the
+*destination* shard's stream and ships it with the batch, at every
+replication factor; the worker masks any seq at or below its journal
+high-water before journaling, so a retried or re-forwarded batch
+(hinted handoff, a retro-hinted tail of a half-acked RPC) is
+idempotent — duplicates are dropped exactly where the durability
+record lives.  Each worker also keeps bounded in-memory **hint
+queues**: observation copies owed to a dead peer shard, stored here
+because this worker is the first live replica in that observation's
+chain.  The supervisor drains them with ``peek_hints`` /
+``ack_hints`` (destructive only after the forward succeeded) when the
+peer rejoins.
 
 The worker speaks a small pickled request/response protocol over the
 supervisor pipe (``ingest`` / ``query_block`` / ``phase_map`` /
@@ -252,20 +253,18 @@ def _shard_main(
             parent = (
                 TraceContext(**trace_ctx) if trace_ctx is not None else None
             )
-            n_duplicates = 0
-            if seqs is not None:
-                # Idempotence mask: anything at or below the journal
-                # high-water is already durable here (a half-acked RPC
-                # the runner retro-hinted, or a hint replayed twice).
-                # Dropping it *before* the write-ahead keeps replay and
-                # the live engine in exact agreement.
-                keep = np.asarray(seqs, dtype=np.int64) > journal.next_seq - 1
-                n_duplicates = int(len(seqs) - keep.sum())
-                if n_duplicates:
-                    block_ids = block_ids[keep]
-                    times = times[keep]
-                    values = values[keep]
-                    seqs = np.asarray(seqs, dtype=np.int64)[keep]
+            # Idempotence mask: anything at or below the journal
+            # high-water is already durable here (a half-acked RPC the
+            # runner retro-hinted, or a hint replayed twice).  Dropping
+            # it *before* the write-ahead keeps replay and the live
+            # engine in exact agreement.
+            keep = seqs > journal.next_seq - 1
+            n_duplicates = int(len(seqs) - keep.sum())
+            if n_duplicates:
+                block_ids = block_ids[keep]
+                times = times[keep]
+                values = values[keep]
+                seqs = seqs[keep]
             # The shard-side leaf of the request span tree: the ingest
             # work (journal write-ahead + admission + pump) under the
             # supervisor's shard.rpc span.  The span (and the event it
@@ -319,10 +318,9 @@ def _shard_main(
             )
             stored = incoming[: max(0, room)]
             if stored:
-                # Stores normally arrive in seq order per target (the
-                # runner assigns under its ingest lock); a retro-hinted
-                # tail after a flap is the one case that can land out
-                # of order, so re-sort only when it actually did.
+                # Stores usually arrive in seq order per target;
+                # concurrent writes can finish out of assignment order,
+                # so re-sort only when a store actually did.
                 out_of_order = bool(bucket) and bucket[-1][0] > stored[0][0]
                 bucket.extend(stored)
                 if out_of_order:
@@ -490,21 +488,20 @@ class ShardClient:
     # Typed wrappers -- one per protocol op.
 
     def ingest(
-        self, block_ids, times, values, seqs=None, trace_context=None
+        self, block_ids, times, values, seqs, trace_context=None
     ) -> dict:
         """Ship one observation batch; ``trace_context`` (a
         :meth:`TraceContext.to_dict` payload or None) parents the
         shard-side ``engine.ingest`` span under the caller's span.
-        ``seqs`` (replicated routing) carries the runner-assigned
-        destination-stream sequence numbers; the worker masks any at
-        or below its journal high-water, making re-sends idempotent."""
+        ``seqs`` carries the runner-assigned destination-stream
+        sequence numbers; the worker masks any at or below its journal
+        high-water, making re-sends idempotent."""
         return self.request(
             "ingest",
             np.ascontiguousarray(block_ids, dtype=np.int64),
             np.ascontiguousarray(times, dtype=np.float64),
             np.ascontiguousarray(values, dtype=np.float64),
-            None if seqs is None
-            else np.ascontiguousarray(seqs, dtype=np.int64),
+            np.ascontiguousarray(seqs, dtype=np.int64),
             trace_context,
         )
 
