@@ -513,7 +513,9 @@ class BatchResult:
         """Feed every measurement into a streaming engine, block by block.
 
         ``engine`` is duck-typed (anything with ``ingest_many`` and
-        ``flush``), so ``repro.core`` does not import ``repro.stream``.
+        ``flush``), so ``repro.core`` does not import ``repro.stream``;
+        each block's series is one ``ingest_many(block_id, times,
+        values)`` batch, the engine's only ingest path.
         Skipped-as-sparse blocks are omitted unless ``include_skipped``
         (their series are all zeros, not measurements).  Returns the
         number of observations fed.

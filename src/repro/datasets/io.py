@@ -695,8 +695,8 @@ def iter_observation_stream(
 ):
     """Replay a saved batch checkpoint as a round-by-round stream.
 
-    Yields ``(block_id, time_s, value)`` tuples suitable for
-    :meth:`repro.stream.engine.StreamEngine.replay`, turning any
+    Yields ``(block_id, time_s, value)`` tuples (columns for
+    :meth:`repro.stream.engine.StreamEngine.ingest_many`), turning any
     checkpoint written by :class:`repro.core.pipeline.BatchRunner` into
     a live-ingestion simulation.  By default blocks are replayed one
     after another; ``interleave=True`` walks the shared round schedule

@@ -7,10 +7,11 @@ through a per-shard :class:`~repro.stream.journal.StreamJournal`.  The
 ordering is the durability contract: an observation batch is **framed
 into the journal before it is offered to the admission queue**, so a
 shard killed at any instant recovers by replaying its journal into a
-fresh engine — the replay goes through the same controller ``ingest``
-path, and because an unloaded controller is a direct delegation, the
-recovered engine state is bit-identical to an uninterrupted run over
-the same admitted observations.
+fresh engine.  Live batches and the replay take the same path into
+the engine, ``StreamEngine.ingest_many`` (through ``submit``/``pump``
+live, through the unloaded controller's ``ingest_many`` on replay), so
+the recovered engine state is bit-identical to an uninterrupted run
+over the same admitted observations.
 
 The runner assigns every observation copy a sequence number from the
 *destination* shard's stream and ships it with the batch, at every
@@ -282,9 +283,7 @@ def _shard_main(
                 journal.append_many(block_ids, times, values, seqs=seqs)
                 journal.settle()
                 crashpoint("serve.shard.journaled")
-                submit = controller.submit
-                for block_id, time_s, value in zip(block_ids, times, values):
-                    submit(int(block_id), float(time_s), float(value))
+                controller.submit(block_ids, times, values)
                 controller.pump(config.pump_budget)
                 if parent is not None and events is not None:
                     # One correlated record per traced ingest RPC: the
@@ -308,14 +307,10 @@ def _shard_main(
             target, h_ids, h_times, h_values, h_seqs = args
             bucket = hints.setdefault(int(target), [])
             room = config.hint_capacity - _hint_backlog()
-            incoming = list(
-                zip(
-                    (int(s) for s in h_seqs),
-                    (int(b) for b in h_ids),
-                    (float(t) for t in h_times),
-                    (float(v) for v in h_values),
-                )
-            )
+            incoming = list(zip(
+                map(int, h_seqs), map(int, h_ids),
+                map(float, h_times), map(float, h_values),
+            ))
             stored = incoming[: max(0, room)]
             if stored:
                 # Stores usually arrive in seq order per target;

@@ -1,7 +1,8 @@
 """Streaming diurnal engine: live verdicts from incremental ingestion.
 
 ``engine``
-    :class:`StreamEngine` — watermark-ordered ingestion, a running
+    :class:`StreamEngine` — one ingest path, ``ingest_many`` (a scalar
+    ``ingest`` is a batch of one): watermark-ordered ingestion, a running
     trailing-window mean for sleep/wake edges, hop-window closes with
     batch-parity verdicts, label hysteresis, event emission, and an
     exact provisional spectrum computed when it is read.
@@ -14,9 +15,12 @@
 ``journal``
     :class:`StreamJournal` — a CRC-framed write-ahead log for
     observations, with torn-tail recovery on open and idempotent
-    sequence-numbered replay (:func:`replay_journal`).
+    sequence-numbered replay through ``ingest_many``
+    (:func:`replay_journal`).
 ``overload``
-    :class:`AdmissionController` — bounded ingest queue with watermark
+    :class:`AdmissionController` — bounded ingest queue of array chunks
+    (``submit`` takes one observation or a batch, ``pump`` slices chunks
+    into the engine's ``ingest_many``) with watermark
     hysteresis, a backpressure signal for producers, and deterministic
     priority load-shedding under sustained overload
     (:func:`paced_replay` is the backpressure-honoring producer loop).

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import isfinite
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -343,82 +342,75 @@ class StreamEngine:
     # -- ingestion ---------------------------------------------------------
 
     def ingest(self, block_id: int, time_s: float, value: float) -> None:
-        """Process one observation (any order within the lateness slack).
+        """Process one observation: a batch of one (:meth:`ingest_many`)."""
+        self.ingest_many(block_id, (time_s,), (value,))
 
-        Non-finite ``time_s``/``value`` (NaN, +/-inf — a corrupt frame,
-        a broken sensor) are dropped before they can poison the ring:
-        NaN times grid to garbage rounds and NaN values defeat the
-        fill/quality accounting.  Each drop is a structured
-        ``stream.invalid_observation`` event and a
+    def ingest_many(self, block_ids, times, values) -> None:
+        """Process observations in arrival order (any order within the
+        lateness slack); ``block_ids`` broadcasts against ``times``.
+
+        Validation and round gridding run once per batch; one loop then
+        walks the observations through the watermark, late-drop, ring
+        and advance state machine, so any split of an arrival sequence
+        into batches yields the same events and state.  Non-finite
+        times/values (a corrupt frame, a broken sensor) are dropped at
+        their position in that loop before they can poison the ring:
+        each is a ``stream.invalid_observation`` event and a
         ``stream_invalid_observations_total`` count, never an exception
         — invalid input is an operational condition, not a bug.
         """
-        if not (isfinite(time_s) and isfinite(value)):
-            self._pending_invalid += 1
-            self._n_invalid += 1
-            self.events.warning(
-                "stream.invalid_observation",
-                block_id=block_id,
-                time_s=repr(float(time_s)),
-                value=repr(float(value)),
-            )
-            return
-        state = self._state(block_id)
-        r = int(round_index(time_s, self.config.round_s, self.config.start_s))
-        if r < 0 or r <= state.watermark:
-            state.n_late += 1
-            self._pending_late += 1
-            self.bus.publish(
-                LateObservation(
+        ids, times, values = _as_batch(block_ids, times, values)
+        valid, rounds = _grid(self.config, times, values)
+        lateness = self.config.lateness_rounds
+        for block_id, time_s, value, r, ok in zip(
+            ids.tolist(), times.tolist(), values.tolist(), rounds.tolist(),
+            valid.tolist(),
+        ):
+            if not ok:
+                self._pending_invalid += 1
+                self._n_invalid += 1
+                self.events.warning(
+                    "stream.invalid_observation",
+                    block_id=block_id,
+                    time_s=repr(time_s),
+                    value=repr(value),
+                )
+                continue
+            state = self._state(block_id)
+            if r < 0 or r <= state.watermark:
+                state.n_late += 1
+                self._pending_late += 1
+                self.bus.publish(
+                    LateObservation(
+                        block_id=block_id,
+                        round_index=r,
+                        time_s=time_s,
+                        value=value,
+                        lag_rounds=state.watermark - r,
+                    )
+                )
+                self.events.warning(
+                    "stream.late_drop",
                     block_id=block_id,
                     round_index=r,
-                    time_s=time_s,
-                    value=float(value),
                     lag_rounds=state.watermark - r,
                 )
-            )
-            self.events.warning(
-                "stream.late_drop",
-                block_id=block_id,
-                round_index=r,
-                lag_rounds=state.watermark - r,
-            )
-            return
-        if r >= state.ring.base + state.ring.capacity:
-            # A jump ahead: freeze/close/evict everything that must
-            # precede this round so the ring has room for it.
-            self._advance(state, block_id, r - self.config.lateness_rounds - 1)
-        state.ring.observe(r, float(time_s), float(value))
-        state.n_observations += 1
-        self._pending_ingested += 1
-        self._since_close += 1
-        if r > state.max_round:
-            state.max_round = r
-            # The newest round itself stays open (a same-round duplicate
-            # must still be able to revise it), so the watermark trails
-            # one round behind the lateness slack.
-            target = r - self.config.lateness_rounds - 1
-            if target > state.watermark:
-                self._advance(state, block_id, target)
-
-    def ingest_many(
-        self, block_id: int, times: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Feed a batch of observations for one block, in arrival order."""
-        times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if times.shape != values.shape:
-            raise ValueError("times and values must have the same shape")
-        for t, v in zip(times, values):
-            self.ingest(block_id, float(t), float(v))
-
-    def replay(self, stream) -> int:
-        """Consume ``(block_id, time_s, value)`` tuples from an iterable."""
-        n = 0
-        for block_id, time_s, value in stream:
-            self.ingest(block_id, time_s, value)
-            n += 1
-        return n
+                continue
+            if r >= state.ring.base + state.ring.capacity:
+                # A jump ahead: freeze/close/evict everything that must
+                # precede this round so the ring has room for it.
+                self._advance(state, block_id, r - lateness - 1)
+            state.ring.observe(r, time_s, value)
+            state.n_observations += 1
+            self._pending_ingested += 1
+            self._since_close += 1
+            if r > state.max_round:
+                state.max_round = r
+                # The newest round itself stays open (a same-round
+                # duplicate must still be able to revise it), so the
+                # watermark trails one round behind the lateness slack.
+                if r - lateness - 1 > state.watermark:
+                    self._advance(state, block_id, r - lateness - 1)
 
     def flush(
         self, block_id: int | None = None, close_partial: bool = False
@@ -898,6 +890,28 @@ class StreamEngine:
                 publish(old, state.candidate_count)
                 state.candidate = None
                 state.candidate_count = 0
+
+
+def _as_batch(block_ids, times, values):
+    """Aligned 1-D ``(ids, times, values)``; ``block_ids`` broadcasts."""
+    times = np.array(times, dtype=np.float64, ndmin=1, copy=None)
+    values = np.array(values, dtype=np.float64, ndmin=1, copy=None)
+    if times.shape != values.shape:
+        raise ValueError("times and values must have the same shape")
+    ids = np.asarray(block_ids)
+    if ids.shape != times.shape:
+        ids = np.full(times.shape, ids)
+    return ids, times, values
+
+
+def _grid(config: StreamConfig, times: np.ndarray, values: np.ndarray):
+    """Finite mask and grid round per observation (-1 where non-finite)."""
+    valid = np.isfinite(times) & np.isfinite(values)
+    rounds = round_index(
+        np.where(valid, times, config.start_s), config.round_s, config.start_s
+    )
+    rounds[~valid] = -1
+    return valid, rounds
 
 
 def batch_window_report(

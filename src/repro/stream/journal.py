@@ -67,6 +67,9 @@ _HEADER = struct.Struct("<4sHH")
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
 _PAYLOAD = struct.Struct("<Qqdd")  # seq, block_id, time_s, value
 
+# Records per ingest_many call when replaying a journal.
+_REPLAY_BATCH = 4096
+
 # Journals only ever carry fixed-size observation payloads today; a
 # frame claiming more is damage, not data (guards the scanner against
 # allocating garbage lengths from a corrupted length field).
@@ -162,6 +165,22 @@ def _scan(raw: bytes) -> tuple[list[JournalRecord], int, str]:
     return records, offset, ""
 
 
+def _recover(raw: bytes, path) -> tuple[list[JournalRecord], RecoveryReport]:
+    """Verify the header of ``raw``, then scan its frames."""
+    magic, version, _ = _HEADER.unpack_from(raw, 0)
+    if magic != _MAGIC:
+        raise ValueError(f"{path} is not a stream journal (bad magic {magic!r})")
+    if version != _VERSION:
+        raise ValueError(
+            f"{path} has journal version {version}, expected {_VERSION}"
+        )
+    records, valid_end, reason = _scan(raw)
+    last_seq = records[-1].seq if records else 0
+    return records, RecoveryReport(
+        len(records), last_seq, len(raw) - valid_end, reason
+    )
+
+
 class StreamJournal:
     """Appendable, crash-recovering observation log.
 
@@ -210,33 +229,17 @@ class StreamJournal:
         except FileNotFoundError:
             raw = b""
         if raw and len(raw) >= _HEADER.size:
-            magic, version, _ = _HEADER.unpack_from(raw, 0)
-            if magic != _MAGIC:
-                raise ValueError(
-                    f"{self.path} is not a stream journal "
-                    f"(bad magic {magic!r})"
-                )
-            if version != _VERSION:
-                raise ValueError(
-                    f"{self.path} has journal version {version}, "
-                    f"expected {_VERSION}"
-                )
-            records, valid_end, reason = _scan(raw)
-            truncated = len(raw) - valid_end
+            _, report = _recover(raw, self.path)
+            valid_end = len(raw) - report.truncated_bytes
             self._handle = open(self.path, "r+b")
-            if truncated:
+            if report.truncated_bytes:
                 self._handle.truncate(valid_end)
                 self._handle.flush()
                 os.fsync(self._handle.fileno())
-                self._m.torn_bytes.inc(truncated)
+                self._m.torn_bytes.inc(report.truncated_bytes)
             self._handle.seek(valid_end)
-            self._m.recovered.inc(len(records))
-            return RecoveryReport(
-                n_records=len(records),
-                last_seq=records[-1].seq if records else 0,
-                truncated_bytes=truncated,
-                reason=reason,
-            )
+            self._m.recovered.inc(report.n_records)
+            return report
         # Fresh (or sub-header, i.e. torn-at-birth) journal.
         truncated = len(raw)
         self._handle = open(self.path, "wb")
@@ -255,48 +258,24 @@ class StreamJournal:
     def append(
         self, block_id: int, time_s: float, value: float, seq: int | None = None
     ) -> int:
-        """Durably frame one observation; returns its sequence number.
+        """Durably frame one observation (a batch of one); returns its seq.
 
         ``seq`` overrides the self-assigned sequence (replicated
         streams journal under the router's per-replica numbering); it
         must exceed every sequence already journaled.
         """
-        if seq is None:
-            seq = self.next_seq
-        elif seq < self.next_seq:
-            raise ValueError(
-                f"seq {seq} is not past the journal high-water "
-                f"{self.next_seq - 1}"
-            )
-        payload = _PAYLOAD.pack(seq, int(block_id), float(time_s), float(value))
-        frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
-        if any_armed():
-            crashpoint("journal.append.begin")
-            # Chaos mode: land the first half on disk before the torn
-            # crash point so an injected death really tears the frame.
-            half = len(frame) // 2
-            self._handle.write(frame[:half])
-            self._handle.flush()
-            crashpoint("journal.mid_append")
-            self._handle.write(frame[half:])
-        else:
-            self._handle.write(frame)
-        self.next_seq = seq + 1
-        self._m.appends.inc()
-        self._since_sync += 1
-        if self.sync_every is not None and self._since_sync >= self.sync_every:
-            self.flush()
-        crashpoint("journal.append.done")
-        return seq
+        return self.append_many(
+            block_id, (time_s,), (value,), seqs=None if seq is None else (seq,)
+        )
 
     def append_many(self, block_ids, times, values, seqs=None) -> int:
         """Append aligned observation arrays; returns the last seq.
 
-        ``block_ids`` broadcasts against ``times``/``values``, so one
-        block's whole round batch journals as
-        ``append_many(block_id, times, values)`` — the write-ahead
-        counterpart of :meth:`StreamEngine.ingest_many`.  Frames are
-        built vectorized and written in one call, which is what keeps
+        ``block_ids`` broadcasts against ``times``/``values`` exactly as
+        in :meth:`StreamEngine.ingest_many`, the call the journaled batch
+        is replayed through, so one block's whole round batch journals
+        as ``append_many(block_id, times, values)``.  Frames are built
+        vectorized and written in one call, which is what keeps
         journaling affordable on the streaming hot path (see
         ``benchmarks/test_abl_pool_runner.py``).
 
@@ -321,19 +300,6 @@ class StreamJournal:
                     "caller-assigned seqs must be strictly increasing and "
                     f"past the journal high-water {self.next_seq - 1}"
                 )
-        if any_armed():
-            # Chaos mode: per-record appends so every crash point and
-            # torn-frame window is exercised exactly as documented.
-            seq = self.next_seq - 1
-            ids = np.broadcast_to(np.asarray(block_ids), times.shape)
-            for i, (block_id, time_s, value) in enumerate(
-                zip(ids, times, values)
-            ):
-                seq = self.append(
-                    block_id, time_s, value,
-                    seq=None if seqs is None else int(seqs[i]),
-                )
-            return seq
         frames = np.empty(n, dtype=_FRAME_DTYPE)
         frames["length"] = _PAYLOAD.size
         frames["seq"] = (
@@ -355,14 +321,30 @@ class StreamJournal:
             dtype=np.uint32,
             count=n,
         )
-        self._handle.write(frames.tobytes())
-        last = int(frames["seq"][-1])
-        self.next_seq = last + 1
+        if not any_armed():
+            self._handle.write(frames.tobytes())
+            self._appended(int(frames["seq"][-1]), n)
+            return self.next_seq - 1
+        # Chaos mode: frame by frame, the first half of each on disk
+        # before the torn crash point, so an injected death really tears
+        # a frame and every crash point fires exactly as documented.
+        for frame in frames:
+            crashpoint("journal.append.begin")
+            data = frame.tobytes()
+            self._handle.write(data[: len(data) // 2])
+            self._handle.flush()
+            crashpoint("journal.mid_append")
+            self._handle.write(data[len(data) // 2:])
+            self._appended(int(frame["seq"]), 1)
+            crashpoint("journal.append.done")
+        return self.next_seq - 1
+
+    def _appended(self, last_seq: int, n: int) -> None:
+        self.next_seq = last_seq + 1
         self._m.appends.inc(n)
         self._since_sync += n
         if self.sync_every is not None and self._since_sync >= self.sync_every:
             self.flush()
-        return last
 
     def settle(self) -> None:
         """Push buffered frames to the OS without paying an fsync.
@@ -405,20 +387,7 @@ def read_journal(path: str | Path) -> tuple[list[JournalRecord], RecoveryReport]
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         return [], RecoveryReport(0, 0, len(raw), "torn file header")
-    magic, version, _ = _HEADER.unpack_from(raw, 0)
-    if magic != _MAGIC:
-        raise ValueError(f"{path} is not a stream journal (bad magic {magic!r})")
-    if version != _VERSION:
-        raise ValueError(
-            f"{path} has journal version {version}, expected {_VERSION}"
-        )
-    records, valid_end, reason = _scan(raw)
-    return records, RecoveryReport(
-        n_records=len(records),
-        last_seq=records[-1].seq if records else 0,
-        truncated_bytes=len(raw) - valid_end,
-        reason=reason,
-    )
+    return _recover(raw, path)
 
 
 def replay_journal(
@@ -430,13 +399,16 @@ def replay_journal(
 ) -> int:
     """Replay journaled observations into an engine, idempotently.
 
-    ``engine`` is duck-typed: anything with ``ingest(block_id, time_s,
-    value)``.  Only records with ``seq > after_seq`` are applied, in
-    sequence order, so resuming a replay from the last sequence number
-    the engine durably processed never applies a record twice — and
-    replaying the same journal into the same engine again with the
-    returned value is a no-op.  Returns the last applied sequence
-    number (``after_seq`` when nothing new was found).
+    ``engine`` is duck-typed: anything with ``ingest_many(block_ids,
+    times, values)`` — a :class:`~repro.stream.engine.StreamEngine` or
+    an :class:`~repro.stream.overload.AdmissionController` — so recovery
+    runs the same batch path as live ingest.  Only records with
+    ``seq > after_seq`` (and past every earlier record) are applied, in
+    journal order and bounded batches, so resuming a replay from the last
+    sequence number the engine durably processed never applies a
+    record twice — and replaying the same journal into the same engine
+    again with the returned value is a no-op.  Returns the last applied
+    sequence number (``after_seq`` when nothing new was found).
 
     ``retry`` applies a :class:`~repro.core.retry.RetryPolicy` to the
     journal *read* (transient :class:`OSError` only); the replay itself
@@ -449,12 +421,15 @@ def replay_journal(
         records, _ = retry.call(
             lambda: read_journal(path), retry_on=(OSError,)
         )
-    last = after_seq
-    for record in records:
-        if record.seq <= last:
-            m.skipped.inc()
-            continue
-        engine.ingest(record.block_id, record.time_s, record.value)
-        m.replayed.inc()
-        last = record.seq
-    return last
+    seqs = np.array([after_seq] + [r.seq for r in records], dtype=np.int64)
+    # A record applies when its seq is past after_seq and every record
+    # before it, as a sequential replay tracking its last seq decides.
+    high = np.maximum.accumulate(seqs)
+    fresh = [r for r, new in zip(records, seqs[1:] > high[:-1]) if new]
+    m.skipped.inc(len(records) - len(fresh))
+    # Bounded batches cap the engine's per-call working lists.
+    for i in range(0, len(fresh), _REPLAY_BATCH):
+        batch = fresh[i:i + _REPLAY_BATCH]
+        engine.ingest_many(*zip(*((r.block_id, r.time_s, r.value) for r in batch)))
+    m.replayed.inc(len(fresh))
+    return int(high[-1])

@@ -2,14 +2,13 @@
 
 Outage monitors see their *worst* input exactly when the signal matters
 most: a routing event or a planet-scale round generator can offer the
-collector far more observations per second than it can absorb.  Before
-this module the :class:`~repro.stream.engine.StreamEngine` ingested
-unboundedly — a sustained burst either OOMed the process or stalled
-every producer behind it.  This module makes overload a *managed*
-condition with three cooperating pieces:
+collector far more observations per second than it can absorb.  This
+module makes overload a *managed* condition with three cooperating
+pieces:
 
 **Bounded ingest queue with watermark hysteresis.**  Producers submit
-observations into a queue of at most ``capacity`` entries.  Crossing
+observations, one or a batch at a time, into a queue of at most
+``capacity`` observations, held as array chunks.  Crossing
 ``high_watermark`` asserts the backpressure signal; it stays asserted
 until the queue drains back below ``low_watermark`` (hysteresis, so the
 signal doesn't flap at the boundary).  Well-behaved producers — the
@@ -40,11 +39,12 @@ publishes a :class:`~repro.stream.events.ShedDegraded` event naming how
 many observations the shedder took from that window.  Windows the
 shedder did not touch keep exact bit-for-bit batch parity.
 
-The controller is a drop-in engine: ``ingest``/``ingest_many``/``flush``
-delegate straight through when the queue is empty (the unloaded hot
-path is two integer increments and one branch), so
-:meth:`~repro.core.pipeline.BatchResult.replay_into` and
-:func:`~repro.stream.journal.replay_journal` work unchanged against it.
+Every path into the engine is one call,
+:meth:`~repro.stream.engine.StreamEngine.ingest_many`: :meth:`pump`
+slices queued chunks into it, and the drop-in ``ingest_many`` (which
+``ingest``, :meth:`~repro.core.pipeline.BatchResult.replay_into` and
+:func:`~repro.stream.journal.replay_journal` use) hands a batch straight
+to it when the queue is empty.
 """
 
 from __future__ import annotations
@@ -57,10 +57,11 @@ from math import ceil, floor
 
 import numpy as np
 
-from repro.core.timeseries import round_index
 from repro.obs.events import NULL_EVENT_LOG
 from repro.obs.registry import NULL_REGISTRY
+from repro.stream.engine import _as_batch, _grid
 from repro.stream.events import ObservationShed, ShedDegraded, WindowClosed
+from repro.stream.sinks import CallbackSink, FilterSink
 
 __all__ = [
     "AdmissionController",
@@ -169,33 +170,18 @@ class _OverloadMetrics:
         self.shed_ratio = registry.gauge("stream_shed_ratio")
 
 
-class _CloseWatcher:
-    """Bus sink that flags window closes overlapping shed observations."""
-
-    __slots__ = ("controller",)
-
-    def __init__(self, controller: "AdmissionController") -> None:
-        self.controller = controller
-
-    def emit(self, event) -> None:
-        if isinstance(event, WindowClosed):
-            self.controller._on_close(event)
-
-
 class AdmissionController:
     """Bounded, shedding, backpressure-signalling front of an engine.
 
-    Two usage modes:
-
-    * **decoupled** (overload-capable): producers call :meth:`submit`,
-      a service loop calls :meth:`pump` with whatever per-cycle budget
-      the hardware affords.  The queue absorbs bursts, backpressure
-      tells producers to pause, and overflow sheds deterministically.
-    * **drop-in** (synchronous): :meth:`ingest`/:meth:`ingest_many`/
-      :meth:`flush` mirror :class:`~repro.stream.engine.StreamEngine`,
-      delegating directly when the queue is empty — replay helpers and
-      journals that expect an engine work unchanged, at near-zero
-      overhead while unloaded.
+    Producers call :meth:`submit` with one observation or a batch; a
+    service loop calls :meth:`pump` with whatever per-cycle budget the
+    hardware affords.  The queue absorbs bursts, backpressure tells
+    producers to pause, and overflow sheds deterministically.  The
+    drop-in :meth:`ingest`/:meth:`ingest_many`/:meth:`flush` mirror
+    :class:`~repro.stream.engine.StreamEngine` for callers that expect
+    an engine: with an empty queue a batch goes straight to the engine's
+    ``ingest_many`` (a few integer increments per call), otherwise it
+    queues behind what is already there.
 
     ``metrics``/``events`` attach the usual registry/structured log;
     verdict-affecting behavior (what is shed, when) never depends on
@@ -214,9 +200,12 @@ class AdmissionController:
         self.metrics = NULL_REGISTRY if metrics is None else metrics
         self.events = NULL_EVENT_LOG if events is None else events
         self._m = _OverloadMetrics(self.metrics)
+        # Chunks of (seqs, block_ids, times, values) arrays, oldest first.
         self._queue: deque = deque()
+        self._depth = 0
         self._paused = False
-        self._seq = 0
+        # Observations are numbered 1, 2, ... in submission order: the
+        # ``seq`` of shed records and events.
         self.n_submitted = 0
         self.n_serviced = 0
         self.n_shed = 0
@@ -233,48 +222,70 @@ class AdmissionController:
         self._round_cap = max(
             1024, 4 * getattr(engine.config, "window_rounds", 256)
         )
-        engine.bus.subscribe(_CloseWatcher(self))
+        engine.bus.subscribe(
+            FilterSink(CallbackSink(self._on_close), [WindowClosed])
+        )
 
     # -- producer side -----------------------------------------------------
 
-    def submit(self, block_id: int, time_s: float, value: float) -> None:
-        """Enqueue one observation (the decoupled producer API).
+    def submit(self, block_ids, times, values) -> None:
+        """Enqueue observations (the decoupled producer API).
 
+        Takes one observation or a batch (``block_ids`` broadcasts
+        against ``times``/``values``, as in
+        :meth:`~repro.stream.engine.StreamEngine.ingest_many`).
         Crossing the high watermark asserts backpressure; exceeding
         ``capacity`` triggers a deterministic shed episode that drains
-        the queue back to the low watermark.  The queue therefore never
-        holds more than ``capacity`` observations.
+        the queue back to the low watermark.  A batch is enqueued in
+        pieces that end exactly where either happens, so engagements,
+        shed sets and ``max_depth`` are those of submitting it one
+        observation at a time, and the queue never holds more than
+        ``capacity`` observations between calls.  The queue keeps the
+        arrays it is given until they are pumped: do not modify them.
         """
-        self._seq += 1
-        self.n_submitted += 1
-        self._queue.append((self._seq, block_id, float(time_s), float(value)))
-        depth = len(self._queue)
-        if depth > self.max_depth:
-            self.max_depth = depth
-        if depth >= self._high and not self._paused:
-            self._engage(depth)
-        if depth > self.config.capacity:
-            self._shed_episode()
+        ids, times, values = _as_batch(block_ids, times, values)
+        while len(times):
+            # Not paused implies depth < high (a release happens at or
+            # below the low watermark), so every piece is non-empty.
+            limit = self.config.capacity + 1 if self._paused else self._high
+            k = min(len(times), limit - self._depth)
+            seqs = np.arange(self.n_submitted + 1, self.n_submitted + k + 1)
+            self._queue.append((seqs, ids[:k], times[:k], values[:k]))
+            ids, times, values = ids[k:], times[k:], values[k:]
+            self.n_submitted += k
+            self._depth += k
+            self.max_depth = max(self.max_depth, self._depth)
+            if self._depth >= self._high and not self._paused:
+                self._engage(self._depth)
+            if self._depth > self.config.capacity:
+                self._shed_episode()
 
     def pump(self, budget: int | None = None) -> int:
         """Service up to ``budget`` queued observations into the engine.
 
-        ``None`` drains everything.  Releases backpressure when the
-        drain brings the queue to or below the low watermark.  Returns
-        the number of observations ingested.
+        ``None`` drains everything, in one ``engine.ingest_many`` call.
+        Releases backpressure when the drain brings the queue to or
+        below the low watermark.  Returns the number of observations
+        ingested.
         """
         if budget is not None and budget < 0:
             raise ValueError("budget must be non-negative")
-        queue = self._queue
-        n = len(queue) if budget is None else min(budget, len(queue))
-        ingest = self.engine.ingest
-        for _ in range(n):
-            _, block_id, time_s, value = queue.popleft()
-            ingest(block_id, time_s, value)
+        n = self._depth if budget is None else min(budget, self._depth)
+        queue, parts, need = self._queue, [], n
+        while need:
+            chunk = queue.popleft()
+            if len(chunk[0]) > need:
+                queue.appendleft(tuple(a[need:] for a in chunk))
+                chunk = tuple(a[:need] for a in chunk)
+            parts.append(chunk)
+            need -= len(chunk[0])
+        self._depth -= n
+        if parts:
+            _, ids, times, values = (np.concatenate(c) for c in zip(*parts))
+            self.engine.ingest_many(ids, times, values)
         self.n_serviced += n
-        depth = len(queue)
-        if self._paused and depth <= self._low:
-            self._release(depth)
+        if self._paused and self._depth <= self._low:
+            self._release(self._depth)
         if n:
             self._sync()
         return n
@@ -289,35 +300,30 @@ class AdmissionController:
 
     @property
     def depth(self) -> int:
-        return len(self._queue)
+        return self._depth
 
     # -- drop-in engine interface ------------------------------------------
 
     def ingest(self, block_id: int, time_s: float, value: float) -> None:
-        """Synchronous drop-in for ``StreamEngine.ingest``.
+        """Synchronous drop-in for ``StreamEngine.ingest``: a batch of one."""
+        self.ingest_many(block_id, (time_s,), (value,))
 
-        With an empty queue this is a direct delegation (two integer
-        increments and one branch of overhead — the unloaded hot path);
-        with queued observations it preserves arrival order by going
-        through the queue and draining it.
+    def ingest_many(self, block_ids, times, values) -> None:
+        """Synchronous drop-in for ``StreamEngine.ingest_many``.
+
+        With an empty queue the batch goes straight to the engine.
+        Otherwise its first observation is submitted and the queue
+        drained, then the rest goes straight through: exactly what
+        per-observation :meth:`ingest` calls would do.
         """
-        if self._queue:
-            self.submit(block_id, time_s, value)
+        ids, times, values = _as_batch(block_ids, times, values)
+        if self._depth and len(times):
+            self.submit(ids[:1], times[:1], values[:1])
             self.pump()
-            return
-        self._seq += 1
-        self.n_submitted += 1
-        self.n_serviced += 1
-        self.engine.ingest(block_id, time_s, value)
-
-    def ingest_many(self, block_id: int, times, values) -> None:
-        """Feed a batch for one block, in arrival order (drop-in)."""
-        times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if times.shape != values.shape:
-            raise ValueError("times and values must have the same shape")
-        for t, v in zip(times, values):
-            self.ingest(block_id, float(t), float(v))
+            ids, times, values = ids[1:], times[1:], values[1:]
+        self.n_submitted += len(times)
+        self.n_serviced += len(times)
+        self.engine.ingest_many(ids, times, values)
 
     def flush(
         self, block_id: int | None = None, close_partial: bool = False
@@ -350,7 +356,7 @@ class AdmissionController:
             "n_episodes": self.n_episodes,
             "n_engagements": self.n_engagements,
             "shed_ratio": self.shed_ratio,
-            "depth": len(self._queue),
+            "depth": self._depth,
             "max_depth": self.max_depth,
             "paused": self._paused,
         }
@@ -368,7 +374,7 @@ class AdmissionController:
             self._m.serviced.inc(d)
             self._synced_serviced = self.n_serviced
         if self._m.enabled:
-            self._m.depth.set(len(self._queue))
+            self._m.depth.set(self._depth)
             self._m.shed_ratio.set(self.shed_ratio)
 
     def _engage(self, depth: int) -> None:
@@ -398,33 +404,31 @@ class AdmissionController:
         state only (stable run length, last phase edge, window mean),
         so the score — and therefore the shed set — is a
         deterministic function of the seed and the observation history.
+        An entry the engine will drop as non-finite scores tier 0 with
+        round -1: protecting it could only cost valid observations.
         """
-        _, block_id, time_s, value = entry
-        engine_config = self.engine.config
-        r = int(
-            round_index(time_s, engine_config.round_s, engine_config.start_s)
-        )
+        _, block_id, _, value, r, valid = entry
+        h = zlib.crc32(struct.pack("<qqq", self.config.seed, block_id, r))
+        if not valid:
+            return 0, h, r
         cached = memo.get(block_id)
         if cached is None:
             engine = self.engine
             if (
                 not engine.tracked(block_id)
                 or engine.stable_run(block_id) < self.config.stable_closes
+                # A stable run means a report exists.  Starving an
+                # already-degraded block would keep it degraded forever;
+                # its observations are the only path back to a verdict.
+                or not engine.last_report(block_id).is_classified
             ):
                 cached = (2, None, None)
             else:
-                report = engine.last_report(block_id)
-                if report is not None and not report.is_classified:
-                    # Starving an already-degraded block would keep it
-                    # degraded forever; its observations are the only
-                    # path back to a verdict.
-                    cached = (2, None, None)
-                else:
-                    cached = (
-                        0,
-                        engine.last_edge_round(block_id),
-                        engine.window_mean(block_id),
-                    )
+                cached = (
+                    0,
+                    engine.last_edge_round(block_id),
+                    engine.window_mean(block_id),
+                )
             memo[block_id] = cached
         base_tier, edge_round, mean = cached
         tier = base_tier
@@ -436,30 +440,39 @@ class AdmissionController:
                 tier = 1
             elif (
                 mean is not None
-                and abs(value - mean) <= engine_config.edge_margin
+                and abs(value - mean) <= self.engine.config.edge_margin
             ):
                 # Inside the midline dead band: this sample could be the
                 # crossing that defines the next sleep/wake edge.
                 tier = 1
-        h = zlib.crc32(struct.pack("<qqq", self.config.seed, block_id, r))
         return tier, h, r
 
     def _shed_episode(self) -> None:
-        entries = list(self._queue)
+        seqs, ids, times, values = (
+            np.concatenate(col) for col in zip(*self._queue)
+        )
+        valid, rounds = _grid(self.engine.config, times, values)
+        entries = list(zip(*(a.tolist() for a in (
+            seqs, ids, times, values, rounds, valid
+        ))))
         depth_before = len(entries)
         n_drop = depth_before - self._low
         memo: dict = {}
         keys = [self._score(entry, memo) for entry in entries]
         order = sorted(range(depth_before), key=keys.__getitem__)
-        drop = set(order[:n_drop])
+        keep = np.ones(depth_before, dtype=bool)
+        keep[order[:n_drop]] = False
+        self._depth = depth_before - n_drop
         self._queue = deque(
-            entry for i, entry in enumerate(entries) if i not in drop
+            [(seqs[keep], ids[keep], times[keep], values[keep])]
+            if self._depth
+            else []
         )
         tier_counts = [0, 0, 0]
         publish = self.engine.bus.publish
-        for i in sorted(drop):
-            seq, block_id, time_s, value = entries[i]
-            tier, _, r = keys[i]
+        for i in np.flatnonzero(~keep).tolist():
+            seq, block_id, time_s, value, r, valid = entries[i]
+            tier = keys[i][0]
             tier_counts[tier] += 1
             self.n_shed += 1
             self._shed_log.append(
@@ -472,15 +485,16 @@ class AdmissionController:
                     tier=tier,
                 )
             )
-            rounds = self._shed_rounds.setdefault(block_id, {})
-            rounds[r] = rounds.get(r, 0) + 1
-            if len(rounds) > self._round_cap:
-                # A block that never closes (no ingested observations)
-                # cannot prune via the close watcher; cap its footprint
-                # by forgetting the oldest rounds, which could only have
-                # annotated windows that are already behind us.
-                for stale in sorted(rounds)[: len(rounds) - self._round_cap]:
-                    del rounds[stale]
+            if valid:  # a non-finite entry belongs to no round
+                counts = self._shed_rounds.setdefault(block_id, {})
+                counts[r] = counts.get(r, 0) + 1
+                if len(counts) > self._round_cap:
+                    # A block that never closes (no ingested observations)
+                    # cannot prune via the close watcher; cap its footprint
+                    # by forgetting the oldest rounds, which could only
+                    # have annotated windows that are already behind us.
+                    for stale in sorted(counts)[: len(counts) - self._round_cap]:
+                        del counts[stale]
             publish(
                 ObservationShed(
                     block_id=block_id,
@@ -499,7 +513,7 @@ class AdmissionController:
             "stream.shed",
             n_shed=n_drop,
             depth_before=depth_before,
-            depth_after=len(self._queue),
+            depth_after=self._depth,
             tier0=tier_counts[0],
             tier1=tier_counts[1],
             tier2=tier_counts[2],

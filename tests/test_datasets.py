@@ -200,7 +200,9 @@ class TestObservationStreamReplay:
         )
         sink = ListSink()
         engine = StreamEngine(config, sinks=[sink])
-        n = engine.replay(iter_observation_stream(path, interleave=True))
+        stream = list(iter_observation_stream(path, interleave=True))
+        engine.ingest_many(*(np.array(col) for col in zip(*stream)))
+        n = len(stream)
         engine.flush()
         assert n > 0
         measured = {

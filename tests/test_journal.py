@@ -31,8 +31,9 @@ class RecordingEngine:
     def __init__(self):
         self.seen = []
 
-    def ingest(self, block_id, time_s, value):
-        self.seen.append((block_id, time_s, value))
+    def ingest_many(self, block_ids, times, values):
+        block_ids = np.broadcast_to(block_ids, np.shape(times)).tolist()
+        self.seen.extend(zip(block_ids, list(times), list(values)))
 
 
 class TestRoundTrip:

@@ -9,6 +9,8 @@ long-stable blocks, and every close still matches the batch oracle over
 the observations that actually survived admission.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,13 @@ from repro.stream import (
     batch_window_report,
     paced_replay,
 )
-from tests.test_stream_engine import DAY, ROUND, diurnal_stream
+from tests.test_stream_engine import (
+    DAY,
+    ROUND,
+    arrival_sequences,
+    diurnal_stream,
+    split_config,
+)
 
 
 def make_pair(capacity=64, seed=1, window_days=2.0, **overload_kwargs):
@@ -480,3 +488,108 @@ class TestDeterminism:
         for event in sink.of_type(ObservationShed):
             assert event.depth == capacity + 1
             assert event.depth > controller.config.low_depth
+
+
+class TestNonFiniteShedding:
+    def test_non_finite_observation_is_shed_before_valid_ones(self):
+        """The engine drops a NaN-time observation anyway: shedding it
+        first costs nothing, protecting it costs a valid observation."""
+        engine, controller, _ = make_pair(capacity=8, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(8):
+                controller.submit(1, i * ROUND, 0.5)
+            controller.submit(2, float("nan"), 0.5)
+        log = controller.shed_log()
+        assert len(log) == 5
+        (bad,) = [r for r in log if r.block_id == 2]
+        assert (bad.tier, bad.round_index) == (0, -1)
+        assert sum(r.block_id == 1 for r in log) == 4
+        assert controller.shed_rounds(2) == {}
+        controller.flush()
+        assert engine.n_invalid == 0  # never reached the engine
+
+
+def controller_run(arrivals, plan, batched, capacity=8):
+    """Drive a controller through ``plan``; everything observable.
+
+    Each plan step takes the next ``size`` arrivals and either submits
+    them then pumps ``budget``, or feeds them to the drop-in
+    ``ingest_many``.  ``batched`` makes each step one call; otherwise
+    every observation is its own ``submit``/``ingest`` call.
+    """
+    from repro.obs import EventLogger
+
+    ids, times, values = arrivals
+    log, sink = [], ListSink()
+    events = EventLogger(level="debug", ring=log, clock=lambda: 0.0)
+    engine = StreamEngine(split_config(), sinks=[sink], events=events)
+    controller = AdmissionController(
+        engine,
+        OverloadConfig(capacity=capacity, seed=5, stable_closes=1),
+        events=events,
+    )
+    start = 0
+    for kind, size, budget in plan:
+        lo, hi = start, min(len(times), start + size)
+        start = hi
+        if batched:
+            feed = controller.submit if kind == "submit" else controller.ingest_many
+            feed(ids[lo:hi], times[lo:hi], values[lo:hi])
+        else:
+            feed = controller.submit if kind == "submit" else controller.ingest
+            for i in range(lo, hi):
+                feed(int(ids[i]), float(times[i]), float(values[i]))
+        if kind == "submit":
+            controller.pump(budget)
+    controller.flush()
+    return {
+        "shed_log": repr(controller.shed_log()),
+        "stats": controller.stats(),
+        "bus": repr(sink.events),
+        "log": repr(log),
+    }
+
+
+class TestBatchSplitInvariance:
+    """Batched ``submit``/``ingest_many`` equal per-observation calls."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        arrivals=arrival_sequences(),
+        plan=st.lists(
+            st.tuples(
+                st.sampled_from(["submit", "submit", "ingest"]),
+                st.integers(1, 30),
+                st.integers(0, 12),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_batches_match_per_observation_calls(self, arrivals, plan):
+        want = controller_run(arrivals, plan, batched=False)
+        assert controller_run(arrivals, plan, batched=True) == want
+
+    def test_batch_crossing_capacity_sheds_like_single_submits(self):
+        times, values = diurnal_stream(2, seed=8)
+        arrivals = (np.arange(len(times)) % 3, times, values)
+        # Three oversized batches between pumps: every one crosses the
+        # high watermark and capacity more than once.
+        plan = [("submit", 30, 4), ("submit", 25, 0), ("submit", 40, 2)]
+        want = controller_run(arrivals, plan, batched=False)
+        got = controller_run(arrivals, plan, batched=True)
+        assert got == want
+        assert got["stats"]["n_episodes"] >= 3
+        assert got["stats"]["max_depth"] == 9
+
+    def test_drop_in_ingest_many_behind_a_queue(self):
+        times, values = diurnal_stream(2, seed=9)
+        arrivals = (np.zeros(len(times), dtype=int), times, values)
+        # The queue holds 7 of capacity 8 when the drop-in batch arrives:
+        # its first observation fills the queue, the rest go straight in.
+        plan = [("submit", 7, 0), ("ingest", 60, 0), ("submit", 20, 3)]
+        want = controller_run(arrivals, plan, batched=False)
+        got = controller_run(arrivals, plan, batched=True)
+        assert got == want
+        assert got["stats"]["n_engagements"] >= 1

@@ -661,7 +661,9 @@ class TestReplayIntegration:
         config = StreamConfig.for_days(1.0, label_dwell=1)
         sink = ListSink()
         engine = StreamEngine(config, sinks=[sink])
-        n = engine.replay((7, float(t), float(v)) for t, v in zip(times, values))
+        stream = [(7, float(t), float(v)) for t, v in zip(times, values)]
+        engine.ingest_many(*(np.array(col) for col in zip(*stream)))
+        n = len(stream)
         engine.flush()
         assert n == len(times)
         assert_parity(sink, times, values, config)
@@ -783,3 +785,118 @@ class TestIngestValidation:
             np.array([0.5, float("inf"), 0.5]),
         )
         assert engine.n_invalid == 2
+
+
+# -- batch-split invariance ----------------------------------------------------
+
+HOUR = 3600.0
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def split_config():
+    """A day-long window on an hourly grid: closes come every 12 rounds."""
+    return StreamConfig(
+        window_rounds=24,
+        round_s=HOUR,
+        hop_rounds=12,
+        lateness_rounds=2,
+        label_dwell=1,
+    )
+
+
+@st.composite
+def arrival_sequences(draw):
+    """Mixed-block arrivals: duplicates, late ones, jumps, non-finite.
+
+    Each block walks its own round cursor; a step of 0 repeats a round,
+    negative steps arrive behind the newest round (late, or reordered
+    within the slack) and a step of 40 jumps past the ring.  About one
+    arrival in five has a NaN/inf time or value.
+    """
+    items = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.sampled_from([-5, -3, -1, 0, 1, 1, 1, 2, 2, 3, 40]),
+                st.floats(-0.3, 0.3),
+                st.floats(0.0, 1.0),
+                st.sampled_from(range(30)),
+            ),
+            min_size=30,
+            max_size=250,
+        )
+    )
+    cursor = [0, 0, 0]
+    ids, times, values = [], [], []
+    for block, step, jitter, value, corrupt in items:
+        cursor[block] = max(0, cursor[block] + step)
+        ids.append(block)
+        time_s = (cursor[block] + jitter) * HOUR
+        if corrupt < 3:
+            time_s = NON_FINITE[corrupt]
+        elif corrupt < 6:
+            value = NON_FINITE[corrupt - 3]
+        times.append(time_s)
+        values.append(value)
+    return np.array(ids), np.array(times), np.array(values)
+
+
+def engine_run(feed):
+    """Run ``feed(engine)``, flush; everything an observer can see."""
+    from repro.obs import EventLogger, MetricsRegistry
+
+    registry = MetricsRegistry()
+    log = []
+    sink = ListSink()
+    engine = StreamEngine(
+        split_config(),
+        sinks=[sink],
+        metrics=registry,
+        events=EventLogger(level="debug", ring=log, clock=lambda: 0.0),
+    )
+    feed(engine)
+    engine.flush(close_partial=True)
+    return {
+        "bus": repr(sink.events),
+        "log": repr(log),
+        "counters": registry.snapshot()["counters"],
+        "snapshots": repr([engine.snapshot(b) for b in engine.blocks()]),
+    }
+
+
+class TestBatchSplitInvariance:
+    """``ingest_many`` over any split equals per-observation ``ingest``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrivals=arrival_sequences(), cuts=st.lists(st.integers(0, 250)))
+    def test_any_split_matches_per_observation_ingest(self, arrivals, cuts):
+        ids, times, values = arrivals
+
+        def one_at_a_time(engine):
+            for b, t, v in zip(ids.tolist(), times.tolist(), values.tolist()):
+                engine.ingest(b, t, v)
+
+        def in_batches(engine):
+            bounds = sorted({0, len(times), *(c % (len(times) + 1) for c in cuts)})
+            for lo, hi in zip(bounds, bounds[1:]):
+                engine.ingest_many(ids[lo:hi], times[lo:hi], values[lo:hi])
+
+        want = engine_run(one_at_a_time)
+        assert engine_run(in_batches) == want
+
+    def test_scalar_block_id_broadcasts(self):
+        times, values = diurnal_stream(2, seed=31)
+        config = StreamConfig.for_days(1.0, label_dwell=1)
+        a, b = ListSink(), ListSink()
+        StreamEngine(config, sinks=[a]).ingest_many(4, times, values)
+        StreamEngine(config, sinks=[b]).ingest_many(
+            np.full(len(times), 4), times, values
+        )
+        assert repr(a.events) == repr(b.events) and a.events
+
+    def test_misaligned_batch_is_rejected(self):
+        engine = StreamEngine(split_config())
+        with pytest.raises(ValueError):
+            engine.ingest_many(0, np.zeros(3), np.zeros(2))
+        with pytest.raises(ValueError):
+            engine.ingest_many(np.zeros(2, dtype=int), np.zeros(3), np.zeros(3))
