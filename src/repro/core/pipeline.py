@@ -674,7 +674,6 @@ class BatchRunner:
         return RunManifest.capture(
             kind="batch",
             registry=self.metrics,
-            tracer=self.tracer,
             seed=seed,
             n_blocks=n_blocks,
             fault_plan=(

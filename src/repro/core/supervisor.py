@@ -39,7 +39,10 @@ the existing pipe — metrics since the last cut, finished span trees
 events.  Riding the result channel makes telemetry exactly-once by
 construction: a killed worker's unsent delta dies with its unsent
 result, so the supervisor's :class:`~repro.obs.distributed.FleetView`
-totals always equal the work it actually received.  Supervisor-side,
+totals always equal the work it actually received; ``FleetView.apply``
+is the one intake for a delta's metrics, spans, events and flight
+samples, and the run manifest's stage timings come from the fleet
+aggregate's histograms.  Supervisor-side,
 every dispatch, completion, retry, kill, quarantine, and breaker trip
 is a correlated record in the structured event log; per-worker
 :class:`~repro.obs.events.FlightRecorder` black boxes are dumped to
@@ -93,15 +96,15 @@ __all__ = [
 class SlotSupervisor:
     """Liveness tracking and paced respawn for long-running worker slots.
 
-    :class:`PoolRunner` reaps and respawns workers inside its dispatch
-    loop, which is batch-shaped: every slot's life ends with the run.
-    An always-on service (``repro.serve``) needs the same machinery —
-    heartbeat staleness detection, respawn pacing under the shared
-    :class:`~repro.core.retry.RetryPolicy`, streak reset once a
-    replacement proves healthy — detached from any dispatch loop, plus
-    a **rejoin hook**: a callback invoked after each successful respawn
-    so the owner can return the recovered slot to service (the serve
-    layer re-marks the shard healthy in its hash ring).
+    The one supervision policy for worker slots: :class:`PoolRunner`
+    builds one per run and the always-on service (``repro.serve``) one
+    per runner — heartbeat staleness detection, respawn pacing under
+    the shared :class:`~repro.core.retry.RetryPolicy`, streak reset
+    once a replacement proves healthy — detached from any dispatch
+    loop, plus a **rejoin hook**: a callback invoked after each
+    successful respawn so the owner can return the recovered slot to
+    service (the serve layer re-marks the shard healthy in its hash
+    ring).
 
     The class is policy-only: it never touches processes itself.  The
     owner reports heartbeats (:meth:`beat`), asks which slots are stale
@@ -345,7 +348,6 @@ class _Worker:
     process: multiprocessing.Process
     conn: connection.Connection
     task: tuple | None = None
-    dispatched_at: float = 0.0
     span: object = None  # detached pool.dispatch span while a task is out
 
 
@@ -487,8 +489,7 @@ class PoolRunner:
         fault_plan = self._serial._fault_plan()
         return RunManifest.capture(
             kind="pool",
-            registry=self.metrics,
-            tracer=self.tracer,
+            registry=self.fleet.aggregate(self.metrics),
             seed=seed,
             n_blocks=n_blocks,
             fault_plan=(
@@ -577,7 +578,7 @@ class PoolRunner:
         stats = self._last_stats
         recorders = self.recorders
         env_failures: dict[int, int] = {}
-        respawn_streak: dict[int, int] = {}
+        slots = SlotSupervisor(config.block_deadline_s, config.respawn_backoff)
         bp_active = False
         state = {
             "consecutive": 0,
@@ -629,26 +630,6 @@ class PoolRunner:
             if span is None:
                 return {}
             return {"trace_id": span.trace_id, "span_id": span.span_id}
-
-        def ingest_delta(delta, span) -> None:
-            if delta is None or not fleet.apply(delta):
-                return
-            self._m.deltas.inc()
-            for span_data in delta.spans:
-                self.tracer.graft(span_data, parent=span)
-            rec = recorder(delta.worker_id)
-            for record_ in delta.events:
-                events.emit(record_)
-                rec.append(record_)
-            if delta.metrics:
-                rec.sample(
-                    {
-                        "worker_id": delta.worker_id,
-                        "seq": delta.seq,
-                        "pid": delta.pid,
-                        "metrics": delta.metrics,
-                    }
-                )
 
         def evaluate_alerts() -> None:
             if alerts is None:
@@ -743,16 +724,13 @@ class PoolRunner:
                         failures=env_failures[index],
                     )
             dump_flight(wid, reason=f"worker {reason}", index=index)
-            streak = respawn_streak.get(wid, 0) + 1
-            respawn_streak[wid] = streak
-            delay = config.respawn_backoff.delay_s(streak)
+            delay = slots.respawn_delay(wid)
             if delay > 0:
                 # Pace consecutive respawns of the same slot: a sick
                 # environment (OOM storm, bad deploy) otherwise turns
                 # the supervisor into a fork bomb.
-                wlog(wid).warning(
-                    "worker.respawn_backoff", streak=streak, delay_s=delay
-                )
+                wlog(wid).warning("worker.respawn_backoff",
+                                  streak=slots.streak(wid), delay_s=delay)
                 time.sleep(delay)
             replacement = self._spawn(ctx, wid, heartbeat, schedule)
             workers[wid] = replacement
@@ -826,7 +804,7 @@ class PoolRunner:
                             continue
                         worker.task = task
                         worker.span = span
-                        worker.dispatched_at = time.monotonic()
+                        heartbeat[worker.worker_id] = time.monotonic()
                         self._m.dispatched.inc()
                         wlog(worker.worker_id).debug(
                             "task.dispatched",
@@ -857,8 +835,12 @@ class PoolRunner:
                         span = worker.span
                         worker.task = None
                         worker.span = None
-                        respawn_streak.pop(worker.worker_id, None)
-                        ingest_delta(delta, span)
+                        slots.mark_alive(worker.worker_id)
+                        if delta is not None and fleet.apply(
+                            delta, self.tracer, events,
+                            recorder(delta.worker_id), parent=span,
+                        ):
+                            self._m.deltas.inc()
                         if span is not None:
                             span.attrs["outcome"] = "completed"
                         self.tracer.end(span, parent=root)
@@ -883,24 +865,15 @@ class PoolRunner:
                         reap(worker, "crashed")
                         replaced.add(worker.worker_id)
 
-                now = time.monotonic()
-                busy_ages = [
-                    now
-                    - max(worker.dispatched_at, heartbeat[worker.worker_id])
-                    for worker in workers
-                    if worker.task is not None
-                ]
-                self._m.heartbeat_age.set(max(busy_ages, default=0.0))
-                if config.block_deadline_s is not None:
-                    for worker in list(workers):
-                        if worker.task is None:
-                            continue
-                        last_sign_of_life = max(
-                            worker.dispatched_at,
-                            heartbeat[worker.worker_id],
-                        )
-                        if now - last_sign_of_life > config.block_deadline_s:
-                            reap(worker, "hung")
+                busy = [worker for worker in workers if worker.task is not None]
+                for worker in busy:
+                    slots.beat(worker.worker_id, at=heartbeat[worker.worker_id])
+                self._m.heartbeat_age.set(
+                    max((slots.age(w.worker_id) for w in busy), default=0.0)
+                )
+                for worker in busy:
+                    if slots.stale(worker.worker_id):
+                        reap(worker, "hung")
 
             if (
                 config.batch.checkpoint_path is not None

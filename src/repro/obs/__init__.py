@@ -8,11 +8,12 @@
     :data:`NULL_REGISTRY` is the allocation-free default every hot path
     binds when observability is off.
 ``tracing``
-    :class:`Tracer` — nested wall-time spans per pipeline stage
-    (``with tracer.trace("classify", block=...)``), with per-stage
-    aggregates, :class:`TraceContext` carriers for cross-process
-    parenting, and detached ``begin``/``end`` spans for async dispatch
-    windows; :data:`NULL_TRACER` is the no-op default.
+    :class:`Tracer` — nested wall-time span trees per pipeline stage
+    (``with tracer.trace("classify", block=...)``), with
+    :class:`TraceContext` carriers for cross-process parenting and
+    detached ``begin``/``end`` spans for async dispatch windows;
+    :data:`NULL_TRACER` is the no-op default.  Spans carry trees and
+    ids; stage timing numbers come from the registry's histograms.
 ``events``
     :class:`EventLogger` — leveled JSON-lines structured logging with
     bound correlation fields and automatic trace stamping;
@@ -21,8 +22,9 @@
 ``distributed``
     :class:`WorkerTelemetry` / :class:`TelemetryDelta` /
     :class:`FleetView` — worker-side delta cutting and the
-    supervisor-side live fleet registry, exactly-once over the result
-    channel.
+    supervisor-side intake (``FleetView.apply``: metrics, spans, events,
+    flight samples) behind the live fleet registry, exactly-once over
+    the result channel.
 ``alerts``
     :class:`AlertRule` / :class:`AlertEngine` — declarative threshold
     and EWMA-drift rules over any registry, emitting typed alert events
@@ -43,9 +45,9 @@
 ``export``
     :func:`prometheus_text`, :func:`json_snapshot` /
     :func:`write_json_snapshot`, :class:`RunManifest` — the per-run
-    record of seeds, fault plans, quality gates, stage timings, and
-    final metrics — and :func:`sparkline_svg`, the server-rendered
-    dashboard primitive.
+    record of seeds, fault plans, quality gates, stage timings (from
+    the ``*_seconds`` histograms), and final metrics — and
+    :func:`sparkline_svg`, the server-rendered dashboard primitive.
 ``profiler``
     :class:`SamplingProfiler` / :func:`profile_for` — a thread-based
     wall-clock stack sampler emitting flamegraph-ready collapsed

@@ -21,21 +21,26 @@ construction: a killed worker's unsent delta dies with it, exactly as
 its unsent result does, so the supervisor's fleet totals always equal
 the sum of work it actually received.
 
-Supervisor-side, a :class:`FleetView` maintains one registry per worker
-plus :meth:`~FleetView.aggregate` — counters and histograms sum,
-gauges sum (a fleet level is the sum of per-worker levels), EWMA
-meters combine count-weighted.  Deltas are sequence-guarded per worker
-incarnation, so a re-applied delta is a no-op.
+Supervisor-side, a :class:`FleetView` is the one intake for deltas:
+:meth:`~FleetView.apply` merges the metrics into that worker's registry,
+grafts the span trees into the supervisor's tracer, forwards the events
+to its log, and tees events plus a metric sample into the worker's
+flight recorder.  :meth:`~FleetView.aggregate` combines the per-worker
+registries — counters and histograms sum, gauges sum (a fleet level is
+the sum of per-worker levels), EWMA meters combine count-weighted.
+Deltas are sequence-guarded per worker incarnation, so a re-applied
+delta is a no-op.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 
-from repro.obs.events import EventLogger
+from repro.obs.events import NULL_EVENT_LOG, EventLogger
 from repro.obs.registry import MetricsRegistry, _state_key, diff_states
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import NULL_TRACER, Tracer
 
 __all__ = [
     "FleetView",
@@ -74,7 +79,8 @@ class WorkerTelemetry:
     :class:`Tracer`, and an :class:`EventLogger` that buffers records
     in memory (no file: the supervisor owns the log).  One
     :meth:`cut_delta` per completed task keeps shipments small and
-    aligned with the exactly-once result channel.
+    aligned with the exactly-once result channel; the supervisor hands
+    each delta to :meth:`FleetView.apply`.
 
     ``recorder`` optionally tees every record into a worker-local
     :class:`~repro.obs.events.FlightRecorder` as well, so a worker that
@@ -104,8 +110,7 @@ class WorkerTelemetry:
         Finished span trees are *drained* from the worker tracer, not
         copied: once a tree ships with a result it lives supervisor-
         side, and draining keeps a long-lived worker (an always-on
-        shard cuts a delta per RPC, forever) from exhausting the
-        tracer's ``max_roots`` retention budget on shipped history.
+        shard cuts a delta per RPC, forever) from shipping it twice.
         """
         state = self.registry.state()
         metrics = diff_states(state, self._last_state)
@@ -171,32 +176,63 @@ def aggregate_registries(registries) -> MetricsRegistry:
 
 
 class FleetView:
-    """Supervisor-side live view: one registry per worker + aggregates.
+    """Supervisor-side live view and the one intake for worker deltas.
 
-    :meth:`apply` merges a worker's delta into that worker's registry
-    (sequence-guarded per worker incarnation); :meth:`aggregate`
-    combines every worker registry — plus any extra registries, e.g.
-    the supervisor's own — into one fleet registry on demand.
+    :meth:`apply` takes all of a delta's work (sequence-guarded per
+    worker incarnation); :meth:`aggregate` combines every worker
+    registry — plus any extra registries, e.g. the supervisor's own —
+    into one fleet registry on demand.  Both hold the view's lock, so
+    deltas may arrive on any thread.
     """
 
     def __init__(self) -> None:
         self._workers: dict[int, MetricsRegistry] = {}
         self._applied: dict[tuple[int, int], int] = {}
+        self._lock = threading.Lock()
         self.n_deltas = 0
         self.n_replayed = 0
 
-    def apply(self, delta: TelemetryDelta) -> bool:
-        """Merge one delta; returns False for an already-applied seq."""
+    def apply(
+        self,
+        delta: TelemetryDelta,
+        tracer=NULL_TRACER,
+        events=NULL_EVENT_LOG,
+        flight=None,
+        parent=None,
+    ) -> bool:
+        """Take one delta; returns False for an already-applied seq.
+
+        Merges the metrics into the worker's registry, grafts the span
+        trees into ``tracer`` under ``parent`` (as roots when ``None``),
+        forwards the events to ``events``, and, given a ``flight``
+        recorder, copies the events plus one ``{worker_id, seq, pid,
+        metrics}`` sample into it.
+        """
         incarnation = (delta.worker_id, delta.pid)
-        if delta.seq <= self._applied.get(incarnation, 0):
-            self.n_replayed += 1
-            return False
-        self._applied[incarnation] = delta.seq
-        registry = self._workers.get(delta.worker_id)
-        if registry is None:
-            registry = self._workers[delta.worker_id] = MetricsRegistry()
-        registry.merge(delta.metrics)
-        self.n_deltas += 1
+        with self._lock:
+            if delta.seq <= self._applied.get(incarnation, 0):
+                self.n_replayed += 1
+                return False
+            self._applied[incarnation] = delta.seq
+            registry = self._workers.get(delta.worker_id)
+            if registry is None:
+                registry = self._workers[delta.worker_id] = MetricsRegistry()
+            registry.merge(delta.metrics)
+            self.n_deltas += 1
+        for span_data in delta.spans:
+            tracer.graft(span_data, parent=parent)
+        for record in delta.events:
+            events.emit(record)
+        if flight is not None:
+            for record in delta.events:
+                flight.append(record)
+            if delta.metrics:
+                flight.sample({
+                    "worker_id": delta.worker_id,
+                    "seq": delta.seq,
+                    "pid": delta.pid,
+                    "metrics": delta.metrics,
+                })
         return True
 
     def worker_ids(self) -> list[int]:
@@ -208,9 +244,9 @@ class FleetView:
 
     def aggregate(self, *extra_registries) -> MetricsRegistry:
         """Fleet-level registry: every worker plus ``extra_registries``."""
-        members = [self._workers[w] for w in self.worker_ids()]
-        members.extend(extra_registries)
-        return aggregate_registries(members)
+        with self._lock:
+            members = [self._workers[w] for w in sorted(self._workers)]
+            return aggregate_registries([*members, *extra_registries])
 
     def snapshot(self) -> dict:
         """JSON-ready per-worker and aggregate metric views."""

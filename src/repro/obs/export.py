@@ -6,12 +6,14 @@ Three consumers, three formats:
   scraping a long-lived process (counters/gauges verbatim, histograms as
   cumulative ``_bucket{le=...}`` series, meters as two derived gauges).
 * :func:`json_snapshot` / :func:`write_json_snapshot` — a plain-data
-  dump of every metric plus optional stage timings; CI uploads this as
-  an artifact so a regression's metrics are attached to the failing run.
+  dump of every metric; CI uploads this as an artifact so a
+  regression's metrics are attached to the failing run.
 * :class:`RunManifest` — the "why did this run do what it did" record: a
   batch or streaming campaign's seeds, fault plan, quality gates, stage
   timings, and final metric values, serialized as JSON next to the
-  checkpoint it describes.
+  checkpoint it describes.  Stage timings are a view of the registry's
+  ``*_seconds`` histograms, the one source of stage timing: spans
+  carry trees and ids, histograms carry the numbers.
 * :func:`sparkline_svg` — a dependency-free inline-SVG sparkline over
   history points, the rendering primitive behind the service's
   ``/dashboard`` page (server-side, no scripts, styled by CSS custom
@@ -30,6 +32,7 @@ from repro.obs.registry import (
     EwmaMeter,
     Gauge,
     Histogram,
+    histogram_quantile,
     render_labels,
 )
 
@@ -98,21 +101,39 @@ def prometheus_text(registry) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def json_snapshot(registry, tracer=None) -> dict:
-    """Plain-data snapshot of a registry (and optionally stage timings)."""
-    snap = {"metrics": registry.snapshot()}
-    if tracer is not None:
-        snap["stages"] = tracer.stage_timings()
-    return snap
+def json_snapshot(registry) -> dict:
+    """Plain-data snapshot of a registry, under a ``"metrics"`` key."""
+    return {"metrics": registry.snapshot()}
 
 
-def write_json_snapshot(path, registry, tracer=None, indent: int = 2) -> Path:
+def write_json_snapshot(path, registry, indent: int = 2) -> Path:
     """Serialize :func:`json_snapshot` to ``path``; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(json_snapshot(registry, tracer), indent=indent,
+    path.write_text(json.dumps(json_snapshot(registry), indent=indent,
                                sort_keys=True) + "\n")
     return path
+
+
+def _stage_timings(registry) -> dict:
+    """Every observed ``*_seconds`` histogram series, summarised.
+
+    Keyed by series (name plus rendered labels), sorted; each entry
+    holds ``count``, ``total_s``, ``mean_s`` and the interpolated
+    ``p99_s``.  Series with no observations are left out.
+    """
+    timings = {}
+    for metric in registry.collect():
+        if (not isinstance(metric, Histogram)
+                or not metric.name.endswith("_seconds") or not metric.count):
+            continue
+        timings[metric.name + render_labels(metric.labels)] = {
+            "count": metric.count,
+            "total_s": metric.sum,
+            "mean_s": metric.sum / metric.count,
+            "p99_s": histogram_quantile([metric], 0.99),
+        }
+    return dict(sorted(timings.items()))
 
 
 @dataclass
@@ -125,7 +146,8 @@ class RunManifest:
         n_blocks: blocks the run covered.
         fault_plan: human-readable fault scenario (``FaultPlan.describe``).
         quality_gates: the classifier's refusal thresholds, as a dict.
-        stage_timings: per-stage wall-time aggregates from the tracer.
+        stage_timings: per-series summaries of the registry's
+            ``*_seconds`` histograms (count, total_s, mean_s, p99_s).
         metrics: final registry snapshot.
         extra: free-form additions (dataset name, git rev, ...).
         created_unix: wall-clock creation time (``time.time()``).
@@ -146,21 +168,22 @@ class RunManifest:
         cls,
         kind: str,
         registry=None,
-        tracer=None,
         seed: int | None = None,
         n_blocks: int | None = None,
         fault_plan: str | None = None,
         quality_gates: dict | None = None,
         **extra,
     ) -> "RunManifest":
-        """Snapshot the current registry/tracer state into a manifest."""
+        """Snapshot the current registry state into a manifest."""
         return cls(
             kind=kind,
             seed=seed,
             n_blocks=n_blocks,
             fault_plan=fault_plan,
             quality_gates=dict(quality_gates or {}),
-            stage_timings=tracer.stage_timings() if tracer is not None else {},
+            stage_timings=(
+                _stage_timings(registry) if registry is not None else {}
+            ),
             metrics=registry.snapshot() if registry is not None else {},
             extra=extra,
             created_unix=time.time(),

@@ -6,9 +6,11 @@ active on the same thread becomes its child, so one batch run yields a
 tree (``batch.run`` → ``batch.block`` → ...).  The span stack is
 thread-local — concurrent runs interleave without mixing trees.
 
-Besides the tree (finished root spans, bounded by ``max_roots``), the
-tracer aggregates per-stage timing statistics; :meth:`Tracer.
-stage_timings` is what :class:`repro.obs.export.RunManifest` embeds.
+The tracer keeps trees, not statistics: the finished root spans, of
+which it retains the newest ``max_roots``.  Stage timing has one source,
+the registry's ``*_seconds`` histograms, which
+:class:`repro.obs.export.RunManifest` summarises; a span's duration
+lives on the span.
 
 Spans also carry identity for *distributed* correlation: every span gets
 a process-unique ``span_id`` and inherits (or mints) a ``trace_id``.  A
@@ -229,7 +231,12 @@ class _SpanContext:
 
 
 class Tracer:
-    """Collects nested wall-time spans and per-stage aggregates."""
+    """Collects nested wall-time span trees, keeping the newest roots.
+
+    Once ``max_roots`` finished roots are held, each new root evicts the
+    oldest and counts it in ``n_dropped_roots``: a long-lived process
+    that nobody drains keeps its recent traces resolvable.
+    """
 
     enabled = True
 
@@ -241,8 +248,6 @@ class Tracer:
         self.n_dropped_roots = 0
         self._local = threading.local()
         self._lock = threading.Lock()
-        # name -> [count, total_s, max_s]
-        self._stages: dict[str, list] = {}
 
     def trace(
         self,
@@ -311,19 +316,14 @@ class Tracer:
         """Attach a remote (serialized) span tree under a local parent.
 
         ``span_data`` is a :class:`Span` or a :meth:`Span.to_dict`
-        payload shipped from another process.  The remote tree's stage
-        durations are folded into :meth:`stage_timings` so fleet-level
-        aggregates cover worker time too.
+        payload shipped from another process.
         """
         span = (
             span_data
             if isinstance(span_data, Span)
             else Span.from_dict(span_data)
         )
-        with self._lock:
-            for s in span.walk():
-                self._stage_stats(s)
-            self._attach(span, parent)
+        self._record(span, parent)
         return span
 
     def resolve(self, span_id: str) -> Span | None:
@@ -356,10 +356,9 @@ class Tracer:
     def drain_roots(self) -> list[Span]:
         """Remove and return every finished root span.
 
-        Long-lived processes (shard workers, the service runner) ship
-        or export spans periodically; draining keeps the retained set
-        bounded without burning the ``max_roots`` budget on history
-        that has already left the process.
+        Long-lived processes (shard workers) ship their spans with
+        every reply; draining hands each finished tree over exactly
+        once, so no tree ships twice.
         """
         with self._lock:
             roots = self.roots
@@ -398,38 +397,13 @@ class Tracer:
 
     def _record(self, span: Span, parent: Span | None) -> None:
         with self._lock:
-            self._stage_stats(span)
-            self._attach(span, parent)
-
-    def _stage_stats(self, span: Span) -> None:
-        stats = self._stages.get(span.name)
-        if stats is None:
-            self._stages[span.name] = [1, span.duration_s, span.duration_s]
-        else:
-            stats[0] += 1
-            stats[1] += span.duration_s
-            stats[2] = max(stats[2], span.duration_s)
-
-    def _attach(self, span: Span, parent: Span | None) -> None:
-        if parent is not None:
-            parent.children.append(span)
-        elif len(self.roots) < self.max_roots:
+            if parent is not None:
+                parent.children.append(span)
+                return
+            if len(self.roots) >= self.max_roots:
+                del self.roots[0]
+                self.n_dropped_roots += 1
             self.roots.append(span)
-        else:
-            self.n_dropped_roots += 1
-
-    def stage_timings(self) -> dict:
-        """Per-stage aggregates: count, total, mean, and max seconds."""
-        with self._lock:
-            return {
-                name: {
-                    "count": count,
-                    "total_s": total,
-                    "mean_s": total / count if count else 0.0,
-                    "max_s": peak,
-                }
-                for name, (count, total, peak) in sorted(self._stages.items())
-            }
 
 
 class _NullSpanContext:
@@ -479,9 +453,6 @@ class NullTracer:
 
     def drain_roots(self) -> list:
         return []
-
-    def stage_timings(self) -> dict:
-        return {}
 
 
 NULL_TRACER = NullTracer()

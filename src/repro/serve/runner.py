@@ -34,10 +34,12 @@ processes:
   *before* reporting ready, and only then rejoins the ring.  Alert
   rules are evaluated over the live fleet aggregate each cycle.
 * **telemetry** — every shard reply carries a
-  :class:`~repro.obs.distributed.TelemetryDelta`; the runner folds
-  them into a :class:`~repro.obs.distributed.FleetView`, so ``GET
-  /metrics`` serves one aggregate registry (shards + the runner's own
-  service metrics) through the existing Prometheus/JSON exporters.
+  :class:`~repro.obs.distributed.TelemetryDelta`, handed to
+  :meth:`~repro.obs.distributed.FleetView.apply` (metrics, span trees,
+  events and flight samples in one intake), so ``GET /metrics`` serves
+  one aggregate registry (shards + the runner's own service metrics)
+  through the existing Prometheus/JSON exporters, and the drain
+  manifest's stage timings are that aggregate's histograms.
   Each supervision cycle additionally samples that aggregate into a
   bounded :class:`~repro.obs.history.MetricsHistory` (served by ``GET
   /metrics/history`` and the ``/dashboard`` sparklines, persisted
@@ -376,7 +378,6 @@ class ServiceRunner:
             backoff=config.respawn_backoff,
             rejoin=self._rejoin,
         )
-        self._fleet_lock = threading.Lock()
         self._stop_event = threading.Event()
         self._thread: threading.Thread | None = None
         self._running = False
@@ -1073,8 +1074,7 @@ class ServiceRunner:
 
     def fleet_registry(self):
         """Aggregate registry: every shard plus the runner's own."""
-        with self._fleet_lock:
-            return self.fleet.aggregate(self.metrics)
+        return self.fleet.aggregate(self.metrics)
 
     def metrics_text(self) -> str:
         return prometheus_text(self.fleet_registry())
@@ -1089,25 +1089,16 @@ class ServiceRunner:
         return snap
 
     def _on_delta(self, delta) -> None:
-        with self._fleet_lock:
-            applied = self.fleet.apply(delta)
-        if applied:
-            for span_data in delta.spans:
-                # Worker span trees (engine.ingest and friends) land as
-                # local roots; they already carry the request trace_id
-                # and name their shard.rpc parent, so trace_spans()
-                # stitches them back under the HTTP request.
-                self.tracer.graft(span_data)
-            for record in delta.events:
-                self.events.emit(record)
-            if self.config.incidents is not None:
-                flight = self._flights.get(delta.worker_id)
-                if flight is None:
-                    flight = FlightRecorder()
-                    self._flights[delta.worker_id] = flight
-                for record in delta.events:
-                    flight.append(record)
-                flight.sample(delta.metrics)
+        # Worker span trees (engine.ingest and friends) land as local
+        # roots; they already carry the request trace_id and name their
+        # shard.rpc parent, so trace_spans() stitches them back under
+        # the HTTP request.
+        flight = None
+        if self.config.incidents is not None:
+            flight = self._flights.get(delta.worker_id)
+            if flight is None:
+                flight = self._flights[delta.worker_id] = FlightRecorder()
+        self.fleet.apply(delta, self.tracer, self.events, flight)
 
     def _init_history(self) -> None:
         """Build (or reload) the telemetry time-series store.

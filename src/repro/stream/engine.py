@@ -587,8 +587,8 @@ class StreamEngine:
         """Telemetry manifest for this engine's run so far.
 
         Captures the quality gates, tracked-block count, stage timings
-        (when a tracer is attached), and the current metric values; pass
-        free-form keywords (dataset name, campaign id, ...) for the
+        (from the registry's histograms), and the current metric values;
+        pass free-form keywords (dataset name, campaign id, ...) for the
         ``extra`` section.
         """
         from dataclasses import asdict
@@ -599,7 +599,6 @@ class StreamEngine:
         return RunManifest.capture(
             kind="stream",
             registry=self.metrics,
-            tracer=self.tracer,
             n_blocks=len(self._states),
             quality_gates=asdict(self.config.classifier),
             window_rounds=self.config.window_rounds,

@@ -1,6 +1,8 @@
 """Cross-process telemetry primitives (repro.obs.distributed)."""
 
 import os
+import sys
+import threading
 
 import pytest
 
@@ -10,7 +12,7 @@ from repro.obs.distributed import (
     WorkerTelemetry,
     aggregate_registries,
 )
-from repro.obs.events import FlightRecorder
+from repro.obs.events import EventLogger, FlightRecorder
 from repro.obs.registry import MetricsRegistry, diff_states
 from repro.obs.tracing import TraceContext, Tracer
 
@@ -93,17 +95,25 @@ class TestWorkerTelemetry:
 
         telem = WorkerTelemetry(worker_id=0)
         with telem.tracer.trace("worker.measure_block", parent_context=ctx):
-            pass
-        [shipped] = telem.cut_delta().spans
+            telem.registry.histogram(
+                "batch_block_seconds", buckets=(1.0,)
+            ).observe(0.25)
+        delta = telem.cut_delta()
+        [shipped] = delta.spans
         assert shipped["trace_id"] == dispatch.trace_id
         assert shipped["parent_span_id"] == dispatch.span_id
 
-        grafted = supervisor.graft(shipped, parent=dispatch)
+        fleet = FleetView()
+        assert fleet.apply(delta, supervisor, parent=dispatch)
         supervisor.end(dispatch)
-        # The remote tree is resolvable through the local root...
+        # The remote tree is grafted under the dispatch span and
+        # resolvable through the local root...
+        [grafted] = dispatch.children
+        assert grafted.span_id == shipped["span_id"]
         assert supervisor.resolve(grafted.span_id) is grafted
-        # ...and its stage durations folded into the local aggregates.
-        assert supervisor.stage_timings()["worker.measure_block"]["count"] == 1
+        # ...and the worker's timing histogram arrived with it.
+        hist = fleet.aggregate().snapshot()["histograms"]["batch_block_seconds"]
+        assert (hist["count"], hist["sum"]) == (1, 0.25)
 
 
 class TestFleetView:
@@ -143,6 +153,61 @@ class TestFleetView:
         # The respawned worker (new pid) legitimately starts at seq 1.
         assert fleet.apply(self.delta(seq=1, pid=200))
         assert self.value(fleet.worker(0), "tasks_total") == 3
+
+    def test_apply_forwards_events_and_fills_flight(self):
+        telem = WorkerTelemetry(worker_id=3)
+        with telem.tracer.trace("worker.measure_block"):
+            telem.events.info("block.done", index=4)
+        telem.registry.counter("tasks_total").inc()
+        delta = telem.cut_delta()
+        tracer, flight, ring = Tracer(), FlightRecorder(), []
+        events = EventLogger(ring=ring)
+        fleet = FleetView()
+        assert fleet.apply(delta, tracer, events, flight)
+        assert [s.name for s in tracer.roots] == ["worker.measure_block"]
+        assert [r["event"] for r in ring] == ["block.done"]
+        snap = flight.snapshot()
+        assert [e["event"] for e in snap["events"]] == ["block.done"]
+        [sample] = snap["metric_samples"]
+        assert (sample["worker_id"], sample["seq"], sample["pid"]) == (
+            3, delta.seq, delta.pid
+        )
+        assert sample["metrics"] == delta.metrics
+        # A replayed delta touches nothing.
+        assert not fleet.apply(delta, tracer, events, flight)
+        assert len(tracer.roots) == len(ring) == 1
+        assert flight.snapshot()["n_samples_total"] == 1
+
+    @pytest.mark.watchdog(60)
+    def test_concurrent_apply_and_aggregate_lose_nothing(self):
+        # Shard replies arrive on one dispatch thread per shard while the
+        # supervision thread aggregates; the view's lock keeps every
+        # increment, and seq guards see each incarnation's seqs in order.
+        fleet = FleetView()
+        n_threads, n_deltas = 8, 200
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def feed(worker_id):
+                for seq in range(1, n_deltas + 1):
+                    assert fleet.apply(self.delta(seq=seq, worker_id=worker_id))
+                    if seq % 50 == 0:
+                        fleet.aggregate()
+
+            threads = [
+                threading.Thread(target=feed, args=(w,))
+                for w in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert fleet.n_deltas == n_threads * n_deltas
+        total = self.value(fleet.aggregate(), "tasks_total")
+        assert total == n_threads * n_deltas
 
     def test_unknown_worker_raises(self):
         with pytest.raises(KeyError):

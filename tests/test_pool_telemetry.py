@@ -150,10 +150,11 @@ class TestChaosTelemetry:
             "crashed"
         )
 
-        # -- worker time was grafted into supervisor stage timings
-        timings = tracer.stage_timings()
-        assert timings["worker.measure_block"]["count"] == self.N_BLOCKS
-        assert timings["pool.dispatch"]["count"] == self.N_BLOCKS + 1
+        # -- worker time reached the manifest's stage timings through
+        # the fleet aggregate (the N_BLOCKS + 1 dispatches are counted
+        # by pool_tasks_dispatched_total above)
+        timings = pooled.manifest.stage_timings
+        assert timings["batch_block_seconds"]["count"] == self.N_BLOCKS
 
         # -- flight recorders: the supervisor dumped the dead worker's
         # box, and the dying worker dumped its own on the way down.
@@ -203,6 +204,21 @@ class TestCleanRunTelemetry:
         for key, value in want.items():
             if key.startswith("batch_"):
                 assert got.get(key, 0) == value, key
+
+    @pytest.mark.watchdog(120)
+    def test_manifest_carries_worker_stage_timings(self):
+        blocks = make_blocks(4)
+        runner = PoolRunner(PoolConfig(n_workers=2), metrics=MetricsRegistry())
+        result = runner.run(blocks, SCHEDULE, seed=3)
+        # Blocks are timed worker-side; the manifest reads the fleet
+        # aggregate, so every block's timing is there.
+        block = result.manifest.stage_timings["batch_block_seconds"]
+        assert block["count"] == len(blocks)
+        fleet = runner.fleet.aggregate().snapshot()["histograms"]
+        assert block["total_s"] == fleet["batch_block_seconds"]["sum"]
+        assert result.manifest.metrics["counters"][
+            "pool_tasks_dispatched_total"
+        ] == len(blocks)
 
     @pytest.mark.watchdog(120)
     def test_telemetry_does_not_change_results(self, tmp_path):

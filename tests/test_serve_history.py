@@ -129,6 +129,43 @@ def test_kill_during_ingest_captures_one_bundle_per_rule(tmp_path):
         runner.stop(drain=False)
 
 
+@pytest.mark.watchdog(120)
+def test_incident_flight_samples_name_their_delta(tmp_path):
+    incident_dir = tmp_path / "incidents"
+    config = service_config(
+        tmp_path,
+        history=HistoryConfig(sample_min_interval_s=0.0),
+        incidents=IncidentConfig(dir=incident_dir, min_interval_s=0.0),
+    )
+    rule = AlertRule(
+        name="ingest-seen", metric="stream_submitted_total", op=">",
+        threshold=0,
+    )
+    runner = ServiceRunner(
+        config, metrics=MetricsRegistry(), alert_rules=[rule]
+    )
+    try:
+        runner.start()
+        runner.ingest(interleaved(WINDOW))
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline and not bundles_in(incident_dir):
+            time.sleep(0.05)
+        [bundle] = bundles_in(incident_dir)
+        flights = sorted((bundle / "flight").glob("worker-*.json"))
+        assert flights
+        for path in flights:
+            worker_id = int(path.stem.split("-")[1])
+            samples = json.loads(path.read_text())["metric_samples"]
+            assert samples
+            for sample in samples:
+                assert sample["worker_id"] == worker_id
+                assert sample["seq"] >= 1
+                assert sample["pid"] > 0
+                assert sample["metrics"]
+    finally:
+        runner.stop(drain=False)
+
+
 @pytest.mark.watchdog(180)
 def test_history_survives_drain_restart_bit_identically(tmp_path):
     # A huge sample interval freezes the store between explicit

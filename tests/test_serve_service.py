@@ -18,6 +18,7 @@ import pytest
 from repro.core.retry import RetryPolicy
 from repro.obs import MetricsRegistry
 from repro.obs.alerts import default_service_rules
+from repro.obs.tracing import TraceContext, Tracer, new_span_id, new_trace_id
 from repro.serve import ServiceConfig, ServiceRunner, ShardDownError
 from repro.serve.shard import _report_to_dict
 from repro.stream.engine import StreamConfig, batch_window_report
@@ -180,6 +181,51 @@ def test_graceful_drain_flushes_queues_and_journals(tmp_path):
     )
     assert manifest["kind"] == "service"
     assert manifest["extra"]["n_shards"] == config.n_shards
+
+
+@pytest.mark.watchdog(120)
+def test_tracer_keeps_the_newest_request_traces(tmp_path):
+    """A long-lived runner's tracer is never drained: once ``max_roots``
+    is reached, the newest request traces must be the ones kept."""
+    tracer = Tracer(max_roots=30)
+    runner = ServiceRunner(
+        service_config(tmp_path), metrics=MetricsRegistry(), tracer=tracer
+    )
+    try:
+        runner.start()
+        for r in range(20):
+            context = TraceContext(new_trace_id(), new_span_id())
+            runner.ingest(interleaved(1, start_round=r), parent_context=context)
+        # Each request leaves a route root plus one engine.ingest root
+        # per shard RPC, so the budget overflowed long ago.
+        assert tracer.n_dropped_roots > 0
+        names = {s.name for s in tracer.trace_spans(context.trace_id)}
+        assert names == {"route", "shard.rpc", "engine.ingest"}
+    finally:
+        runner.stop(drain=False)
+
+
+@pytest.mark.watchdog(120)
+def test_drain_manifest_carries_fleet_stage_timings(tmp_path):
+    config = service_config(tmp_path)
+    runner = ServiceRunner(config, metrics=MetricsRegistry())
+    runner.start()
+    runner.ingest(interleaved(2 * WINDOW))
+    runner.stop(drain=True)
+    manifest = json.loads(
+        (config.journal_path(0).parent / "service-manifest.json").read_text()
+    )
+    # Windows close in the shards; their timing histogram reaches the
+    # drain manifest through the fleet aggregate.
+    closes = sum(
+        value
+        for key, value in manifest["metrics"]["counters"].items()
+        if key.startswith("stream_window_closes_total")
+    )
+    assert closes >= N_BLOCKS
+    timing = manifest["stage_timings"]["stream_close_seconds"]
+    assert timing["count"] == closes
+    assert set(timing) == {"count", "total_s", "mean_s", "p99_s"}
 
 
 @pytest.mark.watchdog(120)
