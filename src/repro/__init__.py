@@ -19,27 +19,20 @@ Quick start::
     result = core.measure_block(block, schedule, np.random.default_rng(0))
     print(result.report.label)   # DiurnalClass.STRICT
 
+Subpackages load on first access (PEP 562): ``import repro`` is cheap,
+and ``repro.core`` or ``from repro import net`` imports just what it
+names, so the streaming service never pays for scipy or the analysis
+layers it does not use.
+
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
-from repro import (
-    analysis,
-    asn,
-    core,
-    datasets,
-    geo,
-    linktype,
-    net,
-    probing,
-    simulation,
-    stats,
-    stream,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
+_SUBPACKAGES = (
     "analysis",
     "asn",
     "core",
@@ -51,5 +44,18 @@ __all__ = [
     "simulation",
     "stats",
     "stream",
-    "__version__",
-]
+)
+
+__all__ = [*_SUBPACKAGES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        # import_module binds the submodule on this package, so the
+        # next access is a plain attribute lookup.
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBPACKAGES})

@@ -255,22 +255,17 @@ def fill_missing(values: np.ndarray, max_gap: int = 1) -> tuple[np.ndarray, int]
     if isnan.all():
         raise ValueError("series has no observations at all")
 
-    n_filled = 0
+    # Each round's most recent observed round (-1 before the first);
+    # a NaN round is filled when its gap so far is at most max_gap.
+    positions = np.arange(len(values))
+    last = np.maximum.accumulate(np.where(isnan, -1, positions))
+    fill = isnan & (last >= 0) & (positions - last <= max_gap)
+    values[fill] = values[last[fill]]
+    n_filled = int(np.count_nonzero(fill))
     first_valid = int(np.flatnonzero(~isnan)[0])
     if first_valid > 0 and first_valid <= max_gap:
         values[:first_valid] = values[first_valid]
         n_filled += first_valid
-    gap = 0
-    last = values[first_valid]
-    for i in range(first_valid, len(values)):
-        if np.isnan(values[i]):
-            gap += 1
-            if gap <= max_gap:
-                values[i] = last
-                n_filled += 1
-        else:
-            last = values[i]
-            gap = 0
     return values, n_filled
 
 

@@ -273,7 +273,7 @@ class _ServiceMetrics:
                  "degraded", "hints_stored", "hints_replayed",
                  "hints_dropped", "hint_backlog", "reads_partial",
                  "reads_stale", "syncing",
-                 "queries", "respawns_crashed", "respawns_hung",
+                 "queries", "respawns_crashed", "respawns_hung", "recovery",
                  "shards", "unhealthy", "request_p99", "error_ratio")
 
     def __init__(self, registry) -> None:
@@ -314,6 +314,9 @@ class _ServiceMetrics:
         self.respawns_hung = registry.counter(
             "service_shard_respawns_total", reason="hung"
         )
+        # Journal recovery wall time, as each worker timed its own, at
+        # start and on every respawn.
+        self.recovery = registry.histogram("service_shard_recovery_seconds")
         self.shards = registry.gauge("service_shards")
         self.unhealthy = registry.gauge("service_shards_unhealthy")
         # SLO instruments, refreshed each supervision cycle from the
@@ -412,8 +415,14 @@ class ServiceRunner:
     def start(self) -> dict:
         """Spawn and recover every shard; start supervision.
 
-        Returns per-shard ready info (journal recovery counts) — a
-        restarted service reports how much state each shard replayed.
+        Every shard is spawned before any is waited on, so the shards
+        replay their journals in parallel and a restart costs the
+        slowest recovery, not the sum.  If any shard fails recovery,
+        every worker spawned here is killed before the error re-raises.
+
+        Returns per-shard ready info (journal recovery counts and
+        ``recovery_s``) — a restarted service reports how much state
+        each shard replayed and how long that took.
         """
         if self._running:
             raise RuntimeError("service is already running")
@@ -440,17 +449,27 @@ class ServiceRunner:
                 events=self.events,
             )
         Path(self.config.journal_dir).mkdir(parents=True, exist_ok=True)
-        ready: dict[int, dict] = {}
+        try:
+            for slot in self._slots:
+                slot.client = self._spawn(slot.shard_id)
+            ready = {
+                slot.shard_id: slot.client.wait_ready() for slot in self._slots
+            }
+        except BaseException:
+            for slot in self._slots:
+                if slot.client is not None:
+                    slot.client.kill()
+                    slot.client = None
+            raise
         for slot in self._slots:
             slot.dispatch = ThreadPoolExecutor(
                 max_workers=1,
                 thread_name_prefix=f"service-dispatch-{slot.shard_id}",
             )
-            slot.client = self._spawn(slot.shard_id)
-            info = slot.client.wait_ready()
+            info = ready[slot.shard_id]
             slot.healthy = True
             self._supervisor.beat(slot.shard_id)
-            ready[slot.shard_id] = info
+            self._m.recovery.observe(info["recovery_s"])
             # Every destination stream resumes past its journal
             # high-water, so a restarted service never assigns a seq
             # the worker's idempotence mask would silently drop.
@@ -461,6 +480,7 @@ class ServiceRunner:
                 pid=info["pid"],
                 n_replayed=info["n_replayed"],
                 truncated_bytes=info["truncated_bytes"],
+                recovery_s=info["recovery_s"],
             )
         self._m.shards.set(self.config.n_shards)
         self._m.unhealthy.set(0)
@@ -1567,6 +1587,7 @@ class ServiceRunner:
         # everything accepted since.  The shard turns healthy *inside*
         # the sync's final write-gated round, so rejoin is
         # zero-downtime and loses nothing.
+        self._m.recovery.observe(info["recovery_s"])
         with slot.lock:
             slot.client = client  # sync RPCs need it; still unhealthy
         try:
@@ -1590,6 +1611,7 @@ class ServiceRunner:
             reason=reason,
             pid=info["pid"],
             n_replayed=info["n_replayed"],
+            recovery_s=info["recovery_s"],
             hints_replayed=sync["replayed"],
         )
 

@@ -183,11 +183,14 @@ def _shard_main(
 ) -> None:
     """Worker loop: recover from the journal, then serve requests.
 
-    Startup is recovery: open the journal (torn tail truncated), replay
-    every intact record through the admission controller into a fresh
-    engine, and only then report ``("ready", info)`` — a shard is never
-    in the ring with partial state.
+    Startup is recovery: open the journal (one read and one scan of
+    the file, torn tail truncated), replay the intact frames that scan
+    found through the admission controller into a fresh engine, and
+    only then report ``("ready", info)`` — a shard is never in the ring
+    with partial state.  ``info["recovery_s"]`` is the wall time of
+    that recovery, measured here in the worker.
     """
+    t_start = time.perf_counter()
     telem = WorkerTelemetry(shard_id) if config.telemetry else None
     registry = telem.registry if telem is not None else None
     events = telem.events if telem is not None else None
@@ -200,7 +203,8 @@ def _shard_main(
         sync_every=config.journal_sync_every,
         metrics=registry,
     )
-    n_replayed = replay_journal(journal_path, controller)
+    n_replayed = replay_journal(journal, controller)
+    recovery_s = time.perf_counter() - t_start
     # Hinted handoff: observation copies owed to dead peer shards,
     # keyed by the peer's shard id, each entry (seq, block, time,
     # value) in the peer's own sequence stream.  Memory-resident by
@@ -229,6 +233,7 @@ def _shard_main(
                 "recovered_records": journal.recovery.n_records,
                 "truncated_bytes": journal.recovery.truncated_bytes,
                 "last_seq": journal.next_seq - 1,
+                "recovery_s": recovery_s,
             },
         )
     )

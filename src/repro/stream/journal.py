@@ -17,11 +17,12 @@ Durability properties:
 
 * **append-only** — a crash can only damage the tail, never rewrite
   history;
-* **torn-tail recovery** — on open, the log is scanned frame by frame;
-  the first frame with a short read or CRC mismatch marks the valid
-  end, and everything after it is truncated away (a torn append is
-  indistinguishable from an append that never happened, which is the
-  correct semantics for a write-*ahead* log);
+* **torn-tail recovery** — on open, the file is read once and viewed
+  as packed frames; one vectorized pass over the length fields and the
+  CRCs finds the first frame with a short read or CRC mismatch, which
+  marks the valid end, and everything after it is truncated away (a
+  torn append is indistinguishable from an append that never happened,
+  which is the correct semantics for a write-*ahead* log);
 * **idempotent replay** — every record carries a monotonically
   increasing sequence number, so :func:`replay_journal` can skip
   records at or below a resume point and re-running a replay applies
@@ -75,22 +76,37 @@ _REPLAY_BATCH = 4096
 # allocating garbage lengths from a corrupted length field).
 _MAX_PAYLOAD = 4096
 
-# Vectorized framing for append_many: one packed row per frame, laid
-# out exactly as the struct formats above (little-endian, no padding).
-_PAYLOAD_DTYPE = np.dtype(
-    {
-        "names": ["seq", "block_id", "time_s", "value"],
-        "formats": ["<u8", "<i8", "<f8", "<f8"],
-    }
-)
+# One packed row per frame, laid out exactly as the struct formats
+# above (little-endian, no padding): append_many builds frames in it and
+# recovery views the file through it.
 _FRAME_DTYPE = np.dtype(
     {
         "names": ["length", "crc", "seq", "block_id", "time_s", "value"],
         "formats": ["<u4", "<u4", "<u8", "<i8", "<f8", "<f8"],
     }
 )
-assert _PAYLOAD_DTYPE.itemsize == _PAYLOAD.size
-assert _FRAME_DTYPE.itemsize == _FRAME.size + _PAYLOAD.size
+_FRAME_SIZE = _FRAME_DTYPE.itemsize
+assert _FRAME_SIZE == _FRAME.size + _PAYLOAD.size
+_NO_FRAMES = np.empty(0, dtype=_FRAME_DTYPE)
+
+
+def _payload_crcs(buf, offset: int, n: int) -> np.ndarray:
+    """CRC-32 of the payloads of ``n`` packed frames starting at ``offset``.
+
+    Each frame's payload is bytes 8–40 of its ``_FRAME_DTYPE`` row; the
+    same helper checks frames on recovery and stamps them on append.
+    """
+    raw = memoryview(buf)
+    crc32 = zlib.crc32
+    first = offset + _FRAME.size
+    return np.fromiter(
+        (
+            crc32(raw[i:i + _PAYLOAD.size])
+            for i in range(first, first + n * _FRAME_SIZE, _FRAME_SIZE)
+        ),
+        dtype=np.uint32,
+        count=n,
+    )
 
 
 @dataclass(frozen=True)
@@ -135,37 +151,51 @@ class _JournalMetrics:
         )
 
 
-def _scan(raw: bytes) -> tuple[list[JournalRecord], int, str]:
-    """Walk frames in ``raw`` (header already verified).
+def _frame_fault(raw: bytes, offset: int) -> str:
+    """Why the frame at ``offset`` is not intact ("" at the end of the log).
 
-    Returns ``(records, valid_end, reason)`` where ``valid_end`` is the
-    offset just past the last intact frame and ``reason`` describes the
-    first invalid tail (empty if the whole log is intact).
+    The frame-by-frame rules, run once, at the first frame the
+    vectorized pass in :func:`_scan` rejected.
     """
-    records: list[JournalRecord] = []
-    offset = _HEADER.size
-    while offset < len(raw):
-        if offset + _FRAME.size > len(raw):
-            return records, offset, "torn frame header"
-        length, crc = _FRAME.unpack_from(raw, offset)
-        if length > _MAX_PAYLOAD:
-            return records, offset, f"implausible frame length {length}"
-        start = offset + _FRAME.size
-        end = start + length
-        if end > len(raw):
-            return records, offset, "torn frame payload"
-        payload = raw[start:end]
-        if zlib.crc32(payload) != crc:
-            return records, offset, "frame CRC mismatch"
-        if length != _PAYLOAD.size:
-            return records, offset, f"unknown payload size {length}"
-        seq, block_id, time_s, value = _PAYLOAD.unpack(payload)
-        records.append(JournalRecord(seq, block_id, time_s, value))
-        offset = end
-    return records, offset, ""
+    if offset == len(raw):
+        return ""
+    if offset + _FRAME.size > len(raw):
+        return "torn frame header"
+    length, crc = _FRAME.unpack_from(raw, offset)
+    if length > _MAX_PAYLOAD:
+        return f"implausible frame length {length}"
+    start = offset + _FRAME.size
+    if start + length > len(raw):
+        return "torn frame payload"
+    if zlib.crc32(raw[start:start + length]) != crc:
+        return "frame CRC mismatch"
+    return f"unknown payload size {length}"
 
 
-def _recover(raw: bytes, path) -> tuple[list[JournalRecord], RecoveryReport]:
+def _scan(raw: bytes) -> tuple[np.ndarray, int, str]:
+    """View the frames of ``raw`` (header already verified).
+
+    Returns ``(frames, valid_end, reason)``: the intact frames as a
+    read-only ``_FRAME_DTYPE`` view of ``raw``, the offset just past
+    the last of them, and why the tail after it is invalid (empty if
+    the whole log is intact).  Every intact frame carries a full
+    observation payload, so the intact prefix lies on the frame grid:
+    it ends at the first row whose length field is not the payload
+    size or whose CRC does not match.
+    """
+    n = (len(raw) - _HEADER.size) // _FRAME_SIZE
+    frames = np.frombuffer(raw, _FRAME_DTYPE, count=n, offset=_HEADER.size)
+    bad = np.flatnonzero(frames["length"] != _PAYLOAD.size)
+    n = int(bad[0]) if len(bad) else n
+    bad = np.flatnonzero(
+        _payload_crcs(raw, _HEADER.size, n) != frames["crc"][:n]
+    )
+    n = int(bad[0]) if len(bad) else n
+    valid_end = _HEADER.size + n * _FRAME_SIZE
+    return frames[:n], valid_end, _frame_fault(raw, valid_end)
+
+
+def _recover(raw: bytes, path) -> tuple[np.ndarray, RecoveryReport]:
     """Verify the header of ``raw``, then scan its frames."""
     magic, version, _ = _HEADER.unpack_from(raw, 0)
     if magic != _MAGIC:
@@ -174,10 +204,10 @@ def _recover(raw: bytes, path) -> tuple[list[JournalRecord], RecoveryReport]:
         raise ValueError(
             f"{path} has journal version {version}, expected {_VERSION}"
         )
-    records, valid_end, reason = _scan(raw)
-    last_seq = records[-1].seq if records else 0
-    return records, RecoveryReport(
-        len(records), last_seq, len(raw) - valid_end, reason
+    frames, valid_end, reason = _scan(raw)
+    last_seq = int(frames["seq"][-1]) if len(frames) else 0
+    return frames, RecoveryReport(
+        len(frames), last_seq, len(raw) - valid_end, reason
     )
 
 
@@ -190,6 +220,11 @@ class StreamJournal:
     writes the header.  Appends are buffered — call :meth:`flush` (or
     rely on ``sync_every``) to make them durable; ``close`` always
     flushes.  Usable as a context manager.
+
+    The open reads the file once.  The intact frames it scanned stay
+    in memory until :func:`replay_journal` is handed this journal (or
+    the journal closes), so a restarting shard replays them without
+    reading or scanning the file a second time.
 
     ``open_retry`` retries the open/recover step on :class:`OSError`
     under a :class:`~repro.core.retry.RetryPolicy` — a journal on
@@ -214,6 +249,7 @@ class StreamJournal:
             NULL_REGISTRY if metrics is None else metrics
         )
         self._since_sync = 0
+        self._recovered: np.ndarray | None = None
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if open_retry is None:
             self.recovery = self._open_and_recover()
@@ -229,7 +265,7 @@ class StreamJournal:
         except FileNotFoundError:
             raw = b""
         if raw and len(raw) >= _HEADER.size:
-            _, report = _recover(raw, self.path)
+            self._recovered, report = _recover(raw, self.path)
             valid_end = len(raw) - report.truncated_bytes
             self._handle = open(self.path, "r+b")
             if report.truncated_bytes:
@@ -241,6 +277,7 @@ class StreamJournal:
             self._m.recovered.inc(report.n_records)
             return report
         # Fresh (or sub-header, i.e. torn-at-birth) journal.
+        self._recovered = _NO_FRAMES
         truncated = len(raw)
         self._handle = open(self.path, "wb")
         self._handle.write(_HEADER.pack(_MAGIC, _VERSION, 0))
@@ -310,17 +347,7 @@ class StreamJournal:
         frames["block_id"] = block_ids
         frames["time_s"] = times
         frames["value"] = values
-        payloads = np.empty(n, dtype=_PAYLOAD_DTYPE)
-        for name in _PAYLOAD_DTYPE.names:
-            payloads[name] = frames[name]
-        raw = memoryview(payloads.tobytes())
-        crc32 = zlib.crc32
-        size = _PAYLOAD.size
-        frames["crc"] = np.fromiter(
-            (crc32(raw[i * size: (i + 1) * size]) for i in range(n)),
-            dtype=np.uint32,
-            count=n,
-        )
+        frames["crc"] = _payload_crcs(frames.view(np.uint8), 0, n)
         if not any_armed():
             self._handle.write(frames.tobytes())
             self._appended(int(frames["seq"][-1]), n)
@@ -364,7 +391,17 @@ class StreamJournal:
         os.fsync(self._handle.fileno())
         self._since_sync = 0
 
+    def _take_recovered(self) -> np.ndarray:
+        """Hand over (and forget) the frames the open scanned."""
+        if self._recovered is None:
+            raise ValueError(
+                f"{self.path}: the recovered records were already replayed"
+            )
+        frames, self._recovered = self._recovered, None
+        return frames
+
     def close(self) -> None:
+        self._recovered = None
         if self._handle is not None:
             self.flush()
             self._handle.close()
@@ -378,20 +415,32 @@ class StreamJournal:
         return False
 
 
+def _read_frames(path) -> tuple[np.ndarray, RecoveryReport]:
+    raw = Path(path).read_bytes()
+    if len(raw) < _HEADER.size:
+        return _NO_FRAMES, RecoveryReport(0, 0, len(raw), "torn file header")
+    return _recover(raw, path)
+
+
 def read_journal(path: str | Path) -> tuple[list[JournalRecord], RecoveryReport]:
     """Read a journal without repairing it (pure, side-effect free).
 
     Returns the intact records plus a report describing any torn tail
     (which is left on disk; only :class:`StreamJournal` truncates).
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        return [], RecoveryReport(0, 0, len(raw), "torn file header")
-    return _recover(raw, path)
+    frames, report = _read_frames(path)
+    records = list(map(
+        JournalRecord,
+        frames["seq"].tolist(),
+        frames["block_id"].tolist(),
+        frames["time_s"].tolist(),
+        frames["value"].tolist(),
+    ))
+    return records, report
 
 
 def replay_journal(
-    path: str | Path,
+    path: str | Path | StreamJournal,
     engine,
     after_seq: int = 0,
     metrics=None,
@@ -404,32 +453,42 @@ def replay_journal(
     an :class:`~repro.stream.overload.AdmissionController` — so recovery
     runs the same batch path as live ingest.  Only records with
     ``seq > after_seq`` (and past every earlier record) are applied, in
-    journal order and bounded batches, so resuming a replay from the last
-    sequence number the engine durably processed never applies a
-    record twice — and replaying the same journal into the same engine
-    again with the returned value is a no-op.  Returns the last applied
-    sequence number (``after_seq`` when nothing new was found).
+    journal order and bounded batches of array slices, so resuming a
+    replay from the last sequence number the engine durably processed
+    never applies a record twice — and replaying the same journal into
+    the same engine again with the returned value is a no-op.  Returns
+    the last applied sequence number (``after_seq`` when nothing new
+    was found).
+
+    ``path`` may also be an open :class:`StreamJournal`: the records
+    its open recovered are replayed from the frames it already scanned,
+    without touching the file, and released (a second replay of the
+    same journal object raises :class:`ValueError`).
 
     ``retry`` applies a :class:`~repro.core.retry.RetryPolicy` to the
     journal *read* (transient :class:`OSError` only); the replay itself
     runs once, since the records are already in memory.
     """
     m = _JournalMetrics(NULL_REGISTRY if metrics is None else metrics)
-    if retry is None:
-        records, _ = read_journal(path)
+    if isinstance(path, StreamJournal):
+        frames = path._take_recovered()
+    elif retry is None:
+        frames, _ = _read_frames(path)
     else:
-        records, _ = retry.call(
-            lambda: read_journal(path), retry_on=(OSError,)
-        )
-    seqs = np.array([after_seq] + [r.seq for r in records], dtype=np.int64)
+        frames, _ = retry.call(lambda: _read_frames(path), retry_on=(OSError,))
+    seqs = frames["seq"].astype(np.int64)
     # A record applies when its seq is past after_seq and every record
     # before it, as a sequential replay tracking its last seq decides.
-    high = np.maximum.accumulate(seqs)
-    fresh = [r for r, new in zip(records, seqs[1:] > high[:-1]) if new]
-    m.skipped.inc(len(records) - len(fresh))
-    # Bounded batches cap the engine's per-call working lists.
+    high = np.maximum.accumulate(np.concatenate(([after_seq], seqs)))
+    fresh = np.flatnonzero(seqs > high[:-1])
+    m.skipped.inc(len(seqs) - len(fresh))
+    ids = frames["block_id"][fresh]
+    times = frames["time_s"][fresh]
+    values = frames["value"][fresh]
+    del frames  # the file image is not kept past this point
+    # Bounded batches cap the engine's per-call working arrays.
     for i in range(0, len(fresh), _REPLAY_BATCH):
-        batch = fresh[i:i + _REPLAY_BATCH]
-        engine.ingest_many(*zip(*((r.block_id, r.time_s, r.value) for r in batch)))
+        batch = slice(i, i + _REPLAY_BATCH)
+        engine.ingest_many(ids[batch], times[batch], values[batch])
     m.replayed.inc(len(fresh))
     return int(high[-1])
